@@ -9,18 +9,28 @@ as functions, matching the finite-word convention.
 Shi coefficients are computed exactly as k(w, alpha) = floor((alpha | w.x0))
 where x0 is the interior alcove point with (alpha_i | x0) = 1/h; then
 (alpha | x0) = ht(alpha)/h lies strictly between 0 and 1 for every positive
-root, and all arithmetic stays rational with denominators dividing h.
+root.
+
+The hot paths run on exact integers.  With G = D (d_i a_ij) the integer
+Gram matrix of `rootdata` and den the common denominator of a weight's
+finite part (den = 1 for Lambda_0), the affine atomic length, the probe and
+the level-one values are computed in units of 1/(2 D den): each is an
+integer numerator, divided once at the end, where its integrality is
+checked.  Shi coefficients are one floor division in units of 1/(hD).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     IndexOutOfRange,
     InvalidType,
+    InvariantViolation,
+    NegativeBound,
     NotDominant,
     RadiusTooLarge,
 )
@@ -41,36 +51,62 @@ def finite_core(system: RootSystem) -> RootSystem:
     return root_system(system.label.finite())
 
 
+def _exact(num: int, den: int):
+    """num/den as an int when it divides, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 @dataclass(frozen=True)
 class AffineWeight:
     """A level-ell weight: finite part (simple-root coordinates), level, and
-    delta coefficient."""
+    delta coefficient.
+
+    Everything else is derived once, when the weight is built: the common
+    denominator `den` of the finite part and the integer vector
+    `num = den * finite`, the fundamental coordinates `fund` (m_1..m_n),
+    m_0, and whether the weight is dominant integral.
+    """
 
     system: RootSystem
     finite: tuple[Fraction, ...]
     level: int
     delta_coeff: Fraction = Fraction(0)
+    den: int = field(init=False, repr=False, compare=False)
+    num: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    fund: tuple = field(init=False, repr=False, compare=False)
+    m0: int | Fraction = field(init=False, repr=False, compare=False)
+    _dominant_integral: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def fund(self):
-        """Fundamental coordinates (m_1..m_n) of the finite part."""
-        return self.system.fund_coords(self.finite)
+    def __post_init__(self):
+        system = self.system
+        den = math.lcm(*(c.denominator for c in self.finite))
+        num = tuple(c.numerator * (den // c.denominator) for c in self.finite)
+        fund_num = tuple(sum(map(mul, row, num)) for row in system.cartan)
+        # m_0 = level - <finite, theta^vee>, theta^vee = sum comark_i alpha_i^vee
+        m0_num = self.level * den - sum(map(mul, system.comarks[1:], fund_num))
+        coords = fund_num + (m0_num,)
+        put = object.__setattr__
+        put(self, "den", den)
+        put(self, "num", num)
+        put(self, "fund", tuple(_exact(f, den) for f in fund_num))
+        put(self, "m0", _exact(m0_num, den))
+        put(self, "_dominant_integral", all(c >= 0 and c % den == 0 for c in coords))
 
     def zero_pairing(self):
         """m_0 = level - <finite, theta^vee>."""
-        theta = self.system.highest_root
-        return self.level - self.system.coroot_pairing(self.finite, theta)
+        return self.m0
 
     def is_dominant_integral(self) -> bool:
-        coords = self.fund + (self.zero_pairing(),)
-        return all(Fraction(c).denominator == 1 and c >= 0 for c in coords)
+        return self._dominant_integral
 
     def require_dominant_integral(self):
         if not self.is_dominant_integral():
             raise NotDominant(f"affine weight {self} is not dominant integral")
 
     def __repr__(self):
-        return f"AffineWeight(fund={tuple(self.fund)}, level={self.level}, z={self.delta_coeff})"
+        fund = tuple(Fraction(c) for c in self.fund)  # printed as exact rationals
+        return f"AffineWeight(fund={fund}, level={self.level}, z={self.delta_coeff})"
 
 
 def affine_weight(system: RootSystem, coords) -> AffineWeight:
@@ -92,7 +128,7 @@ def affine_weight(system: RootSystem, coords) -> AffineWeight:
 def basic_weight(system: RootSystem) -> AffineWeight:
     """The level-one weight with trivial finite part (Lambda_0)."""
     _require_affine(system)
-    return AffineWeight(system, (Fraction(0),) * system.rank, 1, Fraction(0))
+    return AffineWeight(system, (0,) * system.rank, 1, 0)
 
 
 class AffineElement:
@@ -186,15 +222,13 @@ def weight_reflect(mu: AffineWeight, i: int) -> AffineWeight:
     if not 0 <= i <= system.rank:
         raise IndexOutOfRange(f"affine index {i} outside 0..{system.rank}")
     if i == 0:
-        m0 = mu.zero_pairing()
+        m0 = mu.m0
         theta = system.highest_root
         finite = tuple(c + m0 * t for c, t in zip(mu.finite, theta))
         return AffineWeight(system, finite, mu.level, mu.delta_coeff - m0)
-    pair = system.pairing(mu.finite, i)
-    finite = tuple(
-        c - pair * int(j == i - 1) for j, c in enumerate(mu.finite)
-    )
-    return AffineWeight(system, finite, mu.level, mu.delta_coeff)
+    finite = list(mu.finite)
+    finite[i - 1] -= mu.fund[i - 1]
+    return AffineWeight(system, tuple(finite), mu.level, mu.delta_coeff)
 
 
 def act_word_on_weight(system: RootSystem, word, mu: AffineWeight) -> AffineWeight:
@@ -204,21 +238,27 @@ def act_word_on_weight(system: RootSystem, word, mu: AffineWeight) -> AffineWeig
     return mu
 
 
-def act_element_on_weight(w: AffineElement, mu: AffineWeight) -> AffineWeight:
-    """Action through the (beta, wbar) form and the translation formula.
+def _act_scaled(w: AffineElement, mu: AffineWeight):
+    """The action of w on mu in scaled integers.
 
-    tau_beta(mu) = mu + level*beta - ((finite|beta) + |beta|^2 level / 2) delta.
+    tau_beta(nu) = nu + level*beta - ((nu|beta) + |beta|^2 level / 2) delta.
+    Returns den * (finite part of w(mu)) and the drop of the delta
+    coefficient in units of 1/(2 D den), den being mu's denominator.
     """
+    g = w.system.scaled_inner_product
+    beta, shift = w.beta, mu.den * mu.level
+    image = w.fbar.act_root(mu.num)  # den * wbar(finite)
+    drop = 2 * g(image, beta) + shift * g(beta, beta)
+    return tuple(c + shift * b for c, b in zip(image, beta)), drop
+
+
+def act_element_on_weight(w: AffineElement, mu: AffineWeight) -> AffineWeight:
+    """Action through the (beta, wbar) form and the translation formula."""
     system = w.system
-    finite = w.fbar.act_root(mu.finite)
-    ip = system.inner_product
-    z = mu.delta_coeff - (
-        ip(finite, w.beta) + Fraction(mu.level) * ip(w.beta, w.beta) / 2
-    )
-    new_finite = tuple(
-        c + mu.level * b for c, b in zip(finite, w.beta)
-    )
-    return AffineWeight(system, new_finite, mu.level, z)
+    num, drop = _act_scaled(w, mu)
+    finite = tuple(_exact(c, mu.den) for c in num)
+    z = mu.delta_coeff - _exact(drop, 2 * system.gram_scale * mu.den)
+    return AffineWeight(system, finite, mu.level, z)
 
 
 # -- Shi coefficients -------------------------------------------------------
@@ -290,12 +330,21 @@ class ShiVector:
 
 
 def shi_vector(w: AffineElement) -> ShiVector:
+    """k(w, alpha) = floor((alpha | wbar x0 + beta)) in integers.
+
+    (alpha | wbar x0) = (wbar^{-1} alpha | x0) = ht(wbar^{-1} alpha) / h and
+    (alpha | beta) = alpha^T G beta / D, so each coefficient is one floor
+    division in units of 1/(hD).
+    """
     system = w.system
-    x = w.apply_point(alcove_point(system))
-    coeffs = []
-    for alpha in system.positive_roots:
-        coeffs.append(math.floor(system.inner_product(alpha, x)))
-    return ShiVector(system, tuple(coeffs))
+    h, d = system.coxeter_number, system.gram_scale
+    g_beta = tuple(sum(map(mul, row, w.beta)) for row in system.gram)
+    coeffs = tuple(
+        (d * sum(w.fbar.act_inverse_root(alpha)) + h * sum(map(mul, alpha, g_beta)))
+        // (h * d)
+        for alpha in system.positive_roots
+    )
+    return ShiVector(system, coeffs)
 
 
 def affine_length(w: AffineElement) -> int:
@@ -307,10 +356,12 @@ def affine_length(w: AffineElement) -> int:
 # -- atomic length ----------------------------------------------------------
 
 
-def _value_from_weights(system: RootSystem, lam: AffineWeight, mu: AffineWeight):
-    diff_f = tuple(a - b for a, b in zip(lam.finite, mu.finite))
-    diff_z = lam.delta_coeff - mu.delta_coeff
-    return sum(diff_f) + system.dual_coxeter_number * diff_z
+def _unscale(value: int, unit: int, what: str) -> int:
+    """value / unit, which the theory says is an integer."""
+    q, r = divmod(value, unit)
+    if r:
+        raise InvariantViolation(f"{what} {Fraction(value, unit)} is not an integer")
+    return q
 
 
 def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
@@ -318,53 +369,58 @@ def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
 
     Direct path: act on the weight and pair with rho^vee, using
     <alpha_i, rho^vee> = 1 and <delta, rho^vee> = h^vee.  Closed path: the
-    finite part plus the translation correction terms.
+    finite part plus the translation correction terms, through
+    gamma = wbar^{-1} beta.  Both run in units of 1/(2 D den).
     """
     lam.require_dominant_integral()
     system = w.system
-    direct = _value_from_weights(system, lam, act_element_on_weight(w, lam))
+    g = system.scaled_inner_product
+    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
+    lnum, shift = lam.num, lam.den * lam.level
 
-    ip = system.inner_product
-    lbar = lam.finite
-    gamma = w.gamma()
-    finite_part = sum(a - b for a, b in zip(lbar, w.fbar.act_root(lbar)))
-    closed = (
-        finite_part
-        - lam.level * sum(w.beta)
-        + system.dual_coxeter_number
-        * (ip(lbar, gamma) + Fraction(lam.level) * ip(w.beta, w.beta) / 2)
+    finite, drop = _act_scaled(w, lam)
+    direct = two_d * (sum(lnum) - sum(finite)) + hvee * drop
+
+    finite_part = sum(lnum) - sum(w.fbar.act_root(lnum))
+    closed = two_d * (finite_part - shift * sum(w.beta)) + hvee * (
+        2 * g(lnum, w.gamma()) + shift * g(w.beta, w.beta)
     )
-    assert direct == closed, (direct, closed)
-    value = Fraction(direct)
-    assert value.denominator == 1
-    return int(value)
+    if direct != closed:
+        raise InvariantViolation(
+            f"dual paths disagree: direct {direct}, closed {closed} "
+            f"(units of 1/{two_d * lam.den})"
+        )
+    return _unscale(direct, two_d * lam.den, "affine atomic length")
 
 
 def level_one_atomic_length(system: RootSystem, beta) -> int:
     """(h^vee / 2) |beta|^2 - ht(beta); independent of the finite part."""
     _require_affine(system)
-    value = (
-        Fraction(system.dual_coxeter_number)
-        * system.inner_product(beta, beta)
-        / 2
-        - sum(beta)
+    two_d = 2 * system.gram_scale
+    value = _unscale(
+        system.dual_coxeter_number * system.scaled_inner_product(beta, beta)
+        - two_d * sum(beta),
+        two_d,
+        "level-one value",
     )
-    assert value.denominator == 1 and value >= 0
-    return int(value)
+    if value < 0:
+        raise InvariantViolation(f"level-one value {value} < 0 at beta = {tuple(beta)}")
+    return value
 
 
 def affine_decomposition_check(w: AffineElement, lam: AffineWeight) -> bool:
-    """Check L_lam(w) = L_lbar(wbar) + level * L_Lambda0(w) + h^vee (lbar|gamma)."""
+    """Check L_lam(w) = L_lbar(wbar) + level * L_Lambda0(w) + h^vee (lbar|gamma),
+    both sides in units of 1/(2 D den)."""
     system = w.system
     lam.require_dominant_integral()
-    lbar = lam.finite
-    finite_term = sum(a - b for a, b in zip(lbar, w.fbar.act_root(lbar)))
+    lnum, two_d = lam.num, 2 * system.gram_scale
+    finite_term = sum(lnum) - sum(w.fbar.act_root(lnum))
     rhs = (
-        finite_term
-        + lam.level * level_one_atomic_length(system, w.beta)
-        + system.dual_coxeter_number * system.inner_product(lbar, w.gamma())
+        two_d * finite_term
+        + two_d * lam.den * lam.level * level_one_atomic_length(system, w.beta)
+        + 2 * system.dual_coxeter_number * system.scaled_inner_product(lnum, w.gamma())
     )
-    return affine_atomic_length(w, lam) == rhs
+    return two_d * lam.den * affine_atomic_length(w, lam) == rhs
 
 
 def orbit_depth_histogram(system: RootSystem, lam: AffineWeight, max_depth: int):
@@ -382,14 +438,10 @@ def orbit_depth_histogram(system: RootSystem, lam: AffineWeight, max_depth: int)
     seen = {start}
     stack = [(lam, 0)]
     histogram: dict[int, int] = {}
-    n = system.rank
     while stack:
         mu, depth = stack.pop()
         histogram[depth] = histogram.get(depth, 0) + 1
-        pairings = [mu.zero_pairing()] + [
-            system.pairing(mu.finite, i) for i in range(1, n + 1)
-        ]
-        for i, p in enumerate(pairings):
+        for i, p in enumerate((mu.m0,) + mu.fund):
             if p > 0 and depth + p <= max_depth:
                 nxt = weight_reflect(mu, i)
                 key = (nxt.finite, nxt.delta_coeff)
@@ -412,9 +464,9 @@ def translation_lattice_basis(system: RootSystem):
     n = system.rank
     basis = []
     for i in range(n):
-        scale = 1 / system.symmetrizer[i]
-        assert scale.denominator == 1
-        basis.append(tuple(int(scale) * int(j == i) for j in range(n)))
+        # 1/d_i = 2D / G_ii
+        scale = _unscale(2 * system.gram_scale, system.gram[i][i], "1/d_i")
+        basis.append(tuple(scale * int(j == i) for j in range(n)))
     return tuple(basis)
 
 
@@ -444,13 +496,16 @@ def _lattice_ball(system: RootSystem, basis, norm_bound: Fraction, cap):
 
     out = []
     coeffs = [0] * n
+    # |beta|^2 <= bound  <=>  beta^T G beta <= floor(D * bound)
+    scaled_bound = math.floor(norm_bound * system.gram_scale)
+    g = system.scaled_inner_product
 
     def rec(i):
         if i == n:
             beta = tuple(
                 sum(coeffs[j] * basis[j][k] for j in range(n)) for k in range(n)
             )
-            if system.inner_product(beta, beta) <= norm_bound:
+            if g(beta, beta) <= scaled_bound:
                 out.append(beta)
             return
         for c in range(-bounds[i], bounds[i] + 1):
@@ -526,37 +581,41 @@ def affine_image_probe(
     _require_affine(system)
     lam.require_dominant_integral()
     if radius < 0:
-        raise RadiusTooLarge("radius must be nonnegative")
+        raise NegativeBound(f"radius {radius} must be nonnegative")
     basis = translation_lattice_basis(system)
     ball = _lattice_ball(system, basis, Fraction(radius), cap)
 
-    lbar = lam.finite
-    trivial_finite = all(c == 0 for c in lbar)
+    lnum = lam.num
     values = set()
     searched = 0
-    if trivial_finite and lam.level == 1:
+    if not any(lnum) and lam.level == 1:
         for beta in ball:
             values.add(level_one_atomic_length(system, beta))
             searched += 1
     else:
         from .weyl import enumerate_group
 
-        finite_elements = sorted(
-            enumerate_group(system), key=lambda w: (w.length(), w.cols)
-        )
-        hvee = system.dual_coxeter_number
-        ip = system.inner_product
+        # L = L_lbar(wbar) + level L_Lambda0(beta) + h^vee (lbar | wbar^{-1} beta)
+        # in units of 1/(2 D den).  Per finite element keep the scaled finite
+        # term and the integer row r with r . beta = 2 h^vee lnum^T G wbar^{-1} beta.
+        n, hvee = system.rank, system.dual_coxeter_number
+        two_d = 2 * system.gram_scale
+        unit = two_d * lam.den
+        g = system.scaled_inner_product
+        rows = []
+        for wbar in enumerate_group(system):
+            finite_term = two_d * (sum(lnum) - sum(wbar.act_root(lnum)))
+            row = tuple(
+                2 * hvee * g(lnum, wbar.act_inverse_root(system.simple_root(j)))
+                for j in range(1, n + 1)
+            )
+            rows.append((finite_term, row))
         for beta in ball:
-            v0 = lam.level * level_one_atomic_length(system, beta)
-            for wbar in finite_elements:
-                finite_term = sum(
-                    a - b for a, b in zip(lbar, wbar.act_root(lbar))
-                )
-                gamma = wbar.act_inverse_root(beta)
-                v = finite_term + v0 + hvee * ip(lbar, gamma)
-                assert Fraction(v).denominator == 1
-                values.add(int(v))
-                searched += 1
+            v0 = unit * lam.level * level_one_atomic_length(system, beta)
+            for finite_term, row in rows:
+                v = finite_term + v0 + sum(map(mul, row, beta))
+                values.add(_unscale(v, unit, "affine atomic length"))
+            searched += len(rows)
 
     certified = _certified_max(system, lam, Fraction(radius))
     attained = tuple(sorted(v for v in values if v <= certified))

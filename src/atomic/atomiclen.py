@@ -11,7 +11,7 @@ comfortably in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .errors import NotReduced, OrbitTooLarge
+from .errors import InvalidType, InvariantViolation, OrbitTooLarge
 from .rootdata import RootSystem, Weight
 from .weyl import WeylElement, identity_element, longest_element, simple_reflection
 
@@ -24,12 +24,21 @@ def atomic_length(w: WeylElement):
 
 
 def lambda_atomic_length(w: WeylElement, lam: Weight):
-    """<lambda - w(lambda), rho^vee> for a dominant integral weight lambda."""
+    """<lambda - w(lambda), rho^vee> for a dominant integral weight lambda.
+
+    Runs on S * lambda in simple-root coordinates (S = `weight_scale`), an
+    integer vector; the height difference is divided by S once.
+    """
     lam.require_dominant_integral()
-    diff = lam - w.act_weight(lam)
-    value = diff.height()
-    assert value.denominator == 1 and value >= 0
-    return int(value)
+    system = w.system
+    scaled = system.scaled_root_coords(tuple(int(c) for c in lam.fund))
+    value, rem = divmod(sum(scaled) - sum(w.act_root(scaled)), system.weight_scale)
+    if rem or value < 0:
+        raise InvariantViolation(
+            f"<lambda - w(lambda), rho^vee> = {value} + {rem}/{system.weight_scale} "
+            "is not a nonnegative integer"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -153,13 +162,20 @@ def image_set(system: RootSystem, lam: Weight, cap=ORBIT_CAP, histogram=False) -
     """All values of the lambda-atomic length on W, via the orbit walk."""
     from .weyl import dominant_orbit_size
 
+    if system.label.affine:
+        raise InvalidType(
+            f"{system.label} is affine; the image is taken over a finite type"
+        )
     lam.require_dominant_integral()
     predicted = dominant_orbit_size(system, lam.fund)
     if predicted > cap:
         raise OrbitTooLarge(f"orbit has {predicted} weights, above cap {cap}")
     hist = _orbit_depths(system, lam, cap)
     orbit_size = sum(hist.values())
-    assert orbit_size == predicted, (orbit_size, predicted)
+    if orbit_size != predicted:
+        raise InvariantViolation(
+            f"orbit walk found {orbit_size} weights, |W|/|W_I| = {predicted}"
+        )
     values = tuple(sorted(hist))
     max_value = values[-1]
     missing = tuple(v for v in range(max_value + 1) if v not in hist)
@@ -218,9 +234,12 @@ def minuscule_weights(system: RootSystem) -> tuple[Weight, ...]:
     out = []
     for i in nodes:
         wt = system.fundamental_weight(i)
-        assert all(
-            abs(system.coroot_pairing(wt.root, beta)) <= 1
+        if any(
+            abs(system.coroot_pairing(wt.root, beta)) > 1
             for beta in system.positive_roots
-        ), f"omega_{i} fails the minuscule pairing test in {system.label}"
+        ):
+            raise InvariantViolation(
+                f"omega_{i} fails the minuscule pairing test in {system.label}"
+            )
         out.append(wt)
     return tuple(out)

@@ -2,8 +2,9 @@
 
 Subcommands: image, w0, susanfe, shi, affine, cores, entropy, verify.
 Usage errors exit 2 (argparse default); computation-cap errors exit 3 with a
-structured message; verify exits 1 when any fixture fails.  All outputs are
-deterministic for a fixed invocation.
+structured message; verify exits 1 when any fixture fails.  A failed
+internal invariant is a defect, not bad input, and is raised with its
+traceback.  All outputs are deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from itertools import permutations
 
 from . import affine, atomiclen, cores, fixtures, perms, susanfe
 from .errors import (
     AtomicError,
+    InvariantViolation,
     OrbitTooLarge,
     RadiusTooLarge,
     SizeTooLarge,
@@ -219,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="atomic",
         description="Atomic length computations on finite and affine Weyl groups",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker cap; results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("image", help="value set of the weight-deformed length")
@@ -290,6 +285,8 @@ def main(argv=None) -> int:
     except (OrbitTooLarge, RadiusTooLarge, SizeTooLarge, SubgroupTooLarge) as exc:
         print(f"error: computation cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolation:
+        raise  # a defect in the program, not a usage error: keep the traceback
     except AtomicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

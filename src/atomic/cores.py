@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .errors import InvalidModulus, NotACore, SizeTooLarge
+from .errors import InvalidModulus, NegativeBound, NotACore, SizeTooLarge
 from .rootdata import root_system
 
 ORBIT_SIZE_CAP = 10**7
@@ -157,9 +157,11 @@ def orbit_cores(n: int, max_size: int, cap=ORBIT_SIZE_CAP):
     every core is reachable through cores of strictly smaller size, so
     pruning at max_size loses nothing.
     """
-    if max_size < 0 or n < 1:
-        raise SizeTooLarge("need n >= 1 and max_size >= 0")
     m = n + 1
+    if m < 2:
+        raise InvalidModulus(f"modulus n + 1 = {m} must be at least 2")
+    if max_size < 0:
+        raise NegativeBound(f"size bound {max_size} must be nonnegative")
     seen = {()}
     queue = deque([()])
     by_size: dict[int, list] = {}
@@ -206,41 +208,48 @@ def count_lattice_points(n: int, target: int):
     Direct quadratic-form enumeration, independent of any partition
     combinatorics.
     """
-    from .affine import _lattice_ball, translation_lattice_basis
+    from .affine import (
+        _certified_max,
+        _lattice_ball,
+        basic_weight,
+        level_one_atomic_length,
+        translation_lattice_basis,
+    )
 
     system = root_system(f"A{n}~")
     basis = translation_lattice_basis(system)
-    hvee = Fraction(n + 1)
     # value = (hvee/2)|b|^2 - ht(b) >= (hvee/2)|b|^2 - c0 |b| with c0 = |h x0|;
     # bound the ball by solving the quadratic in |b| with padded constants.
-    from .affine import _certified_max, basic_weight
-
     norm = Fraction(2 * target, n + 1) + 2
     while _certified_max(system, basic_weight(system), norm) < target:
         norm += max(1, norm // 2)
     count = 0
     for beta in _lattice_ball(system, basis, norm, cap=10**8):
-        value = hvee * system.inner_product(beta, beta) / 2 - sum(beta)
-        if value == target:
+        if level_one_atomic_length(system, beta) == target:
             count += 1
     return count
 
 
 def lattice_value_histogram(n: int, max_target: int):
     """value -> lattice-point count for all values <= max_target, one sweep."""
-    from .affine import _certified_max, _lattice_ball, basic_weight, translation_lattice_basis
+    from .affine import (
+        _certified_max,
+        _lattice_ball,
+        basic_weight,
+        level_one_atomic_length,
+        translation_lattice_basis,
+    )
 
     system = root_system(f"A{n}~")
     basis = translation_lattice_basis(system)
-    hvee = Fraction(n + 1)
     norm = Fraction(2 * max_target, n + 1) + 2
     while _certified_max(system, basic_weight(system), norm) < max_target:
         norm += max(1, norm // 2)
     histogram: dict[int, int] = {}
     for beta in _lattice_ball(system, basis, norm, cap=10**8):
-        value = hvee * system.inner_product(beta, beta) / 2 - sum(beta)
+        value = level_one_atomic_length(system, beta)
         if value <= max_target:
-            histogram[int(value)] = histogram.get(int(value), 0) + 1
+            histogram[value] = histogram.get(value, 0) + 1
     return histogram
 
 

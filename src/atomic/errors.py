@@ -45,6 +45,10 @@ class RadiusTooLarge(AtomicError):
     """Affine probe radius exceeded the configured cap."""
 
 
+class NegativeBound(AtomicError):
+    """A size or radius bound was given below zero."""
+
+
 class NotAdequate(AtomicError):
     """Point is not an adequate permutohedron base point."""
 
@@ -67,3 +71,7 @@ class PreconditionViolation(AtomicError):
 
 class UnsupportedType(AtomicError):
     """Operation is only defined for certain Dynkin families."""
+
+
+class InvariantViolation(AtomicError):
+    """An identity the computation relies on failed: a defect, not bad input."""

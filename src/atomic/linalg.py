@@ -2,6 +2,11 @@
 
 Everything here operates on tuples of tuples (rows) and stays exact; the
 matrices involved never exceed rank 8, so no attempt is made to be clever.
+These routines serve set-up work done once per root system or per call
+(the inverse Cartan matrix, coordinates of classical roots, the lattice
+Gram inverse, the inverse of a Weyl element given by explicit columns).
+The group and affine hot paths run on the scaled integer forms of
+`rootdata` and on inverses carried through products instead.
 """
 
 from fractions import Fraction
@@ -9,22 +14,9 @@ from fractions import Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_vec(rows, v):
     """Rows-times-vector product."""
     return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in rows)
-
-
-def mat_mul(a, b):
-    """Rows-times-rows product."""
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p))
-        for i in range(n)
-    )
 
 
 def mat_inv(rows) -> Matrix:
@@ -75,16 +67,3 @@ def solve_columns(columns, target):
             raise ValueError("inconsistent system")
     return tuple(aug[i][k] for i in range(k))
 
-
-def int_matrix(rows):
-    """Cast an exact rational matrix whose entries are integral to ints."""
-    out = []
-    for row in rows:
-        ints = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"non-integral entry {x}")
-            ints.append(int(f))
-        out.append(tuple(ints))
-    return tuple(out)

@@ -3,17 +3,26 @@
 Conventions follow the Bourbaki planches: simple roots are numbered so that
 B_n/C_n have their short/long root at node n, D_n forks at nodes n-1 and n,
 and E_n attaches node 2 to node 4 of the chain 1-3-4-5-...  All vectors are
-stored in simple-root coordinates with exact rational arithmetic; the
-bilinear form is normalised so that the highest root theta has (theta|theta)
-equal to 2.
+stored in simple-root coordinates; the bilinear form is normalised so that
+the highest root theta has (theta|theta) equal to 2.
+
+The form is kept as one integer Gram matrix G = D (d_i a_ij), where d is the
+symmetrizer and D the common denominator of its entries (1 in the
+simply-laced types, 2 in B, C and F, 3 in G), so x^T G y = D (x|y).  Hot
+paths work with these scaled integers and divide by D (or 2D) once, at the
+end; `inner_product` is that single division.  Weights, whose simple-root
+coordinates are rational, are scaled likewise by S, the common denominator
+of the inverse Cartan matrix (`scaled_root_coords`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
 from .linalg import mat_inv, mat_vec, solve_columns
@@ -124,6 +133,17 @@ class RootSystem:
         self.highest_root = self.positive_roots[-1]
 
         self.symmetrizer = self._symmetrizer()
+        self.gram_scale = math.lcm(*(d.denominator for d in self.symmetrizer))
+        self.gram = tuple(
+            tuple(_scale(d, self.gram_scale) * a for a in row)
+            for d, row in zip(self.symmetrizer, self.cartan)
+        )
+        self.weight_scale = math.lcm(
+            *(c.denominator for row in self.cartan_inv for c in row)
+        )
+        self._scaled_cartan_inv = tuple(
+            tuple(_scale(c, self.weight_scale) for c in row) for row in self.cartan_inv
+        )
         # rho in the simple-root basis; its fundamental coordinates are all 1.
         self.rho_coords = tuple(
             sum(self.cartan_inv[i][j] for j in range(n)) for i in range(n)
@@ -200,16 +220,29 @@ class RootSystem:
         """Simple-root coordinates of a vector given in the fundamental basis."""
         return mat_vec(self.cartan_inv, fund_coords)
 
+    def scaled_root_coords(self, fund_coords):
+        """S times the simple-root coordinates, S = `weight_scale`; integral
+        for integral fundamental coordinates."""
+        return mat_vec(self._scaled_cartan_inv, fund_coords)
+
+    def scaled_inner_product(self, x, y):
+        """x^T G y = D (x|y); an integer whenever x and y are integral."""
+        return sum(
+            xi * sum(map(mul, row, y)) for xi, row in zip(x, self.gram) if xi
+        )
+
     def inner_product(self, x, y):
         """The invariant bilinear form, long-root normalised: (theta|theta)=2."""
         if len(x) != len(y) or len(x) != self.rank:
             raise DimensionMismatch("vectors must have length equal to the rank")
-        pair = mat_vec(self.cartan, y)
-        return sum(self.symmetrizer[i] * x[i] * pair[i] for i in range(self.rank))
+        return Fraction(self.scaled_inner_product(x, y), self.gram_scale)
 
     def coroot_pairing(self, x, beta):
         """<x, beta^vee> = 2(x|beta)/(beta|beta) for a root beta."""
-        return 2 * self.inner_product(x, beta) / self.inner_product(beta, beta)
+        return Fraction(
+            2 * self.scaled_inner_product(x, beta),
+            self.scaled_inner_product(beta, beta),
+        )
 
     def is_positive_root(self, coords) -> bool:
         return tuple(coords) in self._positive_set
@@ -243,6 +276,11 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.label})"
+
+
+def _scale(x: Fraction, scale: int) -> int:
+    """scale * x for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
 
 
 def _as_int(x) -> int:

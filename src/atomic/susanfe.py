@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atomiclen import ImageReport, atomic_length, image_set
-from .errors import PreconditionViolation, UnsupportedType
+from .errors import InvariantViolation, PreconditionViolation, UnsupportedType
 from .rootdata import RootSystem, root_system
 from .weyl import (
     ReflectionSubgroup,
@@ -91,7 +91,8 @@ def special_reflection(system: RootSystem, kind: str | None = None) -> SpecialRe
         word = _palindrome_word(n)
     t = evaluate(system, word)
     inversion_set_from_word(system, word)  # verifies the word is reduced
-    assert is_reflection(system, t)
+    if not is_reflection(system, t):
+        raise InvariantViolation(f"word {word} does not evaluate to a reflection")
     indices = tuple(range(2, n + 1))
     sub = standard_parabolic(system, indices)
     constant = restricted_atomic_length(t, sub)

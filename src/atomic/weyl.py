@@ -1,9 +1,13 @@
 """Finite Weyl group elements, words, inversion sets and reflection subgroups.
 
 Elements are integer matrices acting on simple-root coordinates; column i of
-the matrix is the image of alpha_i.  Words multiply by ordinary composition:
-the word [i1, i2, ..., ir] evaluates to s_{i1} o s_{i2} o ... o s_{ir}, i.e.
-the rightmost letter acts first.  Equality and hashing go through the matrix,
+the matrix is the image of alpha_i.  The matrix is stored flat, column after
+column, and every element carries its inverse in the same form: a product
+computes (xy)^{-1} = y^{-1} x^{-1} alongside xy, and reflections are their
+own inverses, so no element is ever inverted by elimination unless it was
+built from explicit columns.  Words multiply by ordinary composition: the
+word [i1, i2, ..., ir] evaluates to s_{i1} o s_{i2} o ... o s_{ir}, i.e. the
+rightmost letter acts first.  Equality and hashing go through the matrix,
 never through words.
 """
 
@@ -11,6 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, mul
 
 from .errors import (
     IndexOutOfRange,
@@ -19,7 +25,7 @@ from .errors import (
     SubgroupTooLarge,
     SystemMismatch,
 )
-from .linalg import identity, int_matrix, mat_inv, solve_columns
+from .linalg import mat_inv, solve_columns
 from .rootdata import RootSystem, Weight
 
 GROUP_ENUMERATION_CAP = 10**7
@@ -27,57 +33,128 @@ GROUP_ENUMERATION_CAP = 10**7
 Word = tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _identity_flat(n: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for j in range(n) for i in range(n))
+
+
+def _apply(flat, x, n):
+    """The flat column-major matrix applied to x: sum_j x_j * column_j.
+
+    Zero coordinates are skipped, so images of roots (few nonzero
+    coordinates) cost a handful of column additions.
+    """
+    acc = None
+    for j, c in enumerate(x):
+        if c:
+            col = flat[j * n:(j + 1) * n]
+            if acc is None:
+                acc = col if c == 1 else [c * y for y in col]
+            elif c == 1:
+                acc = list(map(add, acc, col))
+            else:
+                acc = [u + c * y for u, y in zip(acc, col)]
+    return (0,) * n if acc is None else tuple(acc)
+
+
+def _product(a, a_refl, b, b_refl, n):
+    """Flat matrix of A.B from the flat matrices and reflection data.
+
+    A reflection s_beta enters through x -> x - <x, beta^vee> beta: on the
+    left it costs one dot product per column of B; on the right, column j
+    of A.s_beta is A alpha_j - <alpha_j, beta^vee> A beta, one image of
+    beta in all.  Two general matrices combine columns.
+    """
+    out = []
+    if a_refl is not None:
+        root, coroot = a_refl
+        for j in range(0, n * n, n):
+            col = b[j:j + n]
+            k = sum(map(mul, coroot, col))
+            out.extend([c - k * r for c, r in zip(col, root)] if k else col)
+    elif b_refl is not None:
+        root, coroot = b_refl
+        image = _apply(a, root, n)
+        for j, k in zip(range(0, n * n, n), coroot):
+            col = a[j:j + n]
+            out.extend([c - k * r for c, r in zip(col, image)] if k else col)
+    else:
+        for j in range(0, n * n, n):
+            out.extend(_apply(a, b[j:j + n], n))
+    return tuple(out)
+
+
+def _element(system: RootSystem, flat, inverse, refl=None) -> "WeylElement":
+    w = object.__new__(WeylElement)
+    w.system = system
+    w._m = flat
+    w._inv = inverse
+    w._refl = refl
+    w._hash = hash(flat)
+    w._inversions = None
+    return w
+
+
 class WeylElement:
     """A Weyl group element as an integer matrix in simple-root coordinates."""
 
-    __slots__ = ("system", "cols", "_hash", "_inv_cols", "_inversions")
+    __slots__ = ("system", "_m", "_inv", "_refl", "_hash", "_inversions")
 
     def __init__(self, system: RootSystem, cols):
         self.system = system
-        self.cols = tuple(tuple(c) for c in cols)
-        self._hash = hash((system.label, self.cols))
-        self._inv_cols = None
+        self._m = tuple(x for c in cols for x in c)
+        self._inv = None  # computed on demand: no product carries it here
+        self._refl = None
+        self._hash = hash(self._m)
         self._inversions = None
+
+    @property
+    def cols(self) -> tuple[tuple[int, ...], ...]:
+        """Column i is the image of alpha_{i+1}, in simple-root coordinates."""
+        n, m = self.system.rank, self._m
+        return tuple(m[j:j + n] for j in range(0, n * n, n))
 
     # -- group structure ------------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.system.label != other.system.label:
+        if other.system is not self.system and self.system.label != other.system.label:
             raise SystemMismatch(f"{self.system.label} vs {other.system.label}")
-        return WeylElement(self.system, (self.act_root(c) for c in other.cols))
+        n = self.system.rank
+        # (xy)^{-1} = y^{-1} x^{-1}; a reflection is its own inverse
+        x_inv, y_inv = self._inverse_flat(), other._inverse_flat()
+        return _element(
+            self.system,
+            _product(self._m, self._refl, other._m, other._refl, n),
+            _product(y_inv, other._refl, x_inv, self._refl, n),
+        )
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.system, self._inverse_cols())
+        return _element(self.system, self._inverse_flat(), self._m, self._refl)
 
-    def _inverse_cols(self):
-        # The matrix is integral with determinant +-1, so the exact inverse
-        # is integral again.
-        if self._inv_cols is None:
-            rows = tuple(zip(*self.cols))
-            inv_rows = int_matrix(mat_inv(rows))
-            self._inv_cols = tuple(zip(*inv_rows))
-        return self._inv_cols
+    def _inverse_flat(self):
+        if self._inv is None:
+            # Only elements built from explicit columns get here.  The
+            # matrix is integral with determinant +-1, so the exact inverse
+            # is integral again.
+            n = self.system.rank
+            rows = mat_inv(tuple(zip(*self.cols)))
+            inv = [rows[i][j] for j in range(n) for i in range(n)]
+            if any(x.denominator != 1 for x in inv):
+                raise ValueError("matrix is not unimodular")
+            self._inv = tuple(int(x) for x in inv)
+        return self._inv
 
     def is_identity(self) -> bool:
-        n = self.system.rank
-        return self.cols == identity(n)
+        return self._m == _identity_flat(self.system.rank)
 
     # -- actions ----------------------------------------------------------
 
     def act_root(self, coords):
         """Apply the element to a vector in simple-root coordinates."""
-        n = self.system.rank
-        cols = self.cols
-        return tuple(
-            sum(coords[i] * cols[i][j] for i in range(n)) for j in range(n)
-        )
+        return _apply(self._m, coords, self.system.rank)
 
     def act_inverse_root(self, coords):
-        n = self.system.rank
-        cols = self._inverse_cols()
-        return tuple(
-            sum(coords[i] * cols[i][j] for i in range(n)) for j in range(n)
-        )
+        return _apply(self._inverse_flat(), coords, self.system.rank)
 
     def act_weight(self, wt: Weight) -> Weight:
         if wt.system.label != self.system.label:
@@ -90,8 +167,8 @@ class WeylElement:
     def inversion_set(self):
         """Positive roots alpha with w^{-1}(alpha) negative, in root order.
 
-        Computed as { -w(beta) : beta > 0, w(beta) < 0 }, which avoids a
-        matrix inversion.
+        Computed as { -w(beta) : beta > 0, w(beta) < 0 }, which needs only
+        the forward matrix.
         """
         if self._inversions is None:
             out = []
@@ -107,13 +184,13 @@ class WeylElement:
         return len(self.inversion_set())
 
     def left_descents(self):
-        """Indices i with ell(s_i w) < ell(w), i.e. alpha_i in N(w)."""
-        out = []
-        for i in range(1, self.system.rank + 1):
-            pre = self.act_inverse_root(self.system.simple_root(i))
-            if all(c <= 0 for c in pre):
-                out.append(i)
-        return tuple(out)
+        """Indices i with ell(s_i w) < ell(w), i.e. w^{-1}(alpha_i) < 0."""
+        n, inv = self.system.rank, self._inverse_flat()
+        return tuple(
+            i // n + 1
+            for i in range(0, n * n, n)
+            if all(c <= 0 for c in inv[i:i + n])
+        )
 
     def reduced_word(self) -> Word:
         """Deterministic reduced word, stripping the smallest left descent."""
@@ -131,8 +208,8 @@ class WeylElement:
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
-            and self.system.label == other.system.label
-            and self.cols == other.cols
+            and self._m == other._m
+            and (self.system is other.system or self.system.label == other.system.label)
         )
 
     def __hash__(self):
@@ -144,39 +221,41 @@ class WeylElement:
 
 
 def identity_element(system: RootSystem) -> WeylElement:
-    return WeylElement(system, identity(system.rank))
+    flat = _identity_flat(system.rank)
+    return _element(system, flat, flat)
 
 
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
     """s_i(alpha_j) = alpha_j - a_ij alpha_i."""
     if not 1 <= i <= system.rank:
         raise IndexOutOfRange(f"simple index {i} outside 1..{system.rank}")
-    n = system.rank
-    cols = []
-    for j in range(n):
-        col = [int(k == j) for k in range(n)]
-        col[i - 1] -= system.cartan[i - 1][j]
-        cols.append(tuple(col))
-    return WeylElement(system, cols)
+    return root_reflection(system, system.simple_root(i))
 
 
 _REFLECTION_CACHE: dict = {}
 
 
 def root_reflection(system: RootSystem, root) -> WeylElement:
-    """The reflection s_beta for any root beta."""
-    key = (system.label, tuple(root))
+    """The reflection s_beta(x) = x - <x, beta^vee> beta for any root beta.
+
+    <x, beta^vee> = 2 x^T G beta / beta^T G beta is a dot product of x with
+    an integer row, which the reflection keeps for its products.
+    """
+    root = tuple(root)
+    key = (system.label, root)
     cached = _REFLECTION_CACHE.get(key)
     if cached is not None:
         return cached
     n = system.rank
-    cols = []
-    for j in range(n):
-        alpha_j = system.simple_root(j + 1)
-        pair = system.coroot_pairing(alpha_j, root)
-        col = [Fraction(int(k == j)) - pair * root[k] for k in range(n)]
-        cols.append(col)
-    t = WeylElement(system, int_matrix(cols))
+    g_root = tuple(sum(map(mul, row, root)) for row in system.gram)
+    norm = sum(map(mul, root, g_root))
+    if any(2 * x % norm for x in g_root):
+        raise ValueError(f"{root} is not a root")
+    coroot = tuple(2 * x // norm for x in g_root)
+    flat = tuple(
+        int(k == j) - coroot[j] * root[k] for j in range(n) for k in range(n)
+    )
+    t = _element(system, flat, flat, (root, coroot))
     _REFLECTION_CACHE[key] = t
     return t
 
@@ -206,21 +285,13 @@ def inversion_set_from_word(system: RootSystem, word):
     return tuple(out)
 
 
-def is_reduced(system: RootSystem, word) -> bool:
-    try:
-        inversion_set_from_word(system, word)
-    except NotReduced:
-        return False
-    return True
-
-
 def longest_element(system: RootSystem) -> WeylElement:
     """Greedy ascent: multiply by s_i while w(alpha_i) stays positive."""
     w = identity_element(system)
     n = system.rank
     while True:
         for i in range(1, n + 1):
-            if all(c >= 0 for c in w.cols[i - 1]):
+            if all(c >= 0 for c in w.act_root(system.simple_root(i))):
                 w = w * simple_reflection(system, i)
                 break
         else:

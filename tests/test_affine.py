@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from atomic.errors import IndexOutOfRange, InvalidType, NotDominant
+from atomic.errors import IndexOutOfRange, InvalidType, NegativeBound, NotDominant
 from atomic.rootdata import classical_root, root_system
 from atomic.affine import (
     AffineWeight,
@@ -342,6 +342,8 @@ def test_image_probe_radius_zero():
     a2 = root_system("A2~")
     report = affine_image_probe(a2, basic_weight(a2), radius=0)
     assert report.attained == (0,) and report.certified_max == 0
+    with pytest.raises(NegativeBound):
+        affine_image_probe(a2, basic_weight(a2), radius=-1)
 
 
 def test_image_probe_higher_level_weight():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from atomic.errors import NotDominant, NotReduced, OrbitTooLarge
+from atomic.errors import InvalidType, NotDominant, NotReduced, OrbitTooLarge
 from atomic.rootdata import classical_root, root_system
 from atomic.atomiclen import (
     atomic_length,
@@ -152,6 +152,12 @@ def test_image_orbit_cap():
     b3 = root_system("B3")
     with pytest.raises(OrbitTooLarge):
         image_set(b3, b3.rho, cap=10)
+
+
+def test_image_refuses_affine_label():
+    a2 = root_system("A2~")
+    with pytest.raises(InvalidType):
+        image_set(a2, a2.rho)
 
 
 def test_w0_closed_forms():

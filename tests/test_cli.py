@@ -105,3 +105,18 @@ def test_verify_runs_clean(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cores", "--n", "0", "--max", "5"), "modulus"),
+        (("cores", "--n", "2", "--max", "-1"), "size bound -1"),
+        (("affine", "--type", "A2~", "--weight", "1,0,0", "--radius", "-1"), "radius -1"),
+        (("image", "--type", "A2~"), "A2~ is affine"),
+    ],
+)
+def test_bad_input_exits_as_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "cap" not in err

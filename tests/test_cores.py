@@ -1,6 +1,6 @@
 import pytest
 
-from atomic.errors import InvalidModulus, NotACore, SizeTooLarge
+from atomic.errors import InvalidModulus, NegativeBound, NotACore, SizeTooLarge
 from atomic.cores import (
     beta_numbers,
     conjugate,
@@ -120,8 +120,10 @@ def test_four_core_full_range():
 def test_orbit_cap():
     with pytest.raises(SizeTooLarge):
         orbit_cores(2, 100, cap=10)
-    with pytest.raises(SizeTooLarge):
+    with pytest.raises(InvalidModulus):
         orbit_cores(0, 5)
+    with pytest.raises(NegativeBound):
+        orbit_cores(2, -1)
 
 
 def test_lattice_counts_match_small():
