@@ -426,9 +426,10 @@ def affine_decomposition_check(w: AffineElement, lam: AffineWeight) -> bool:
 def orbit_depth_histogram(system: RootSystem, lam: AffineWeight, max_depth: int):
     """depth -> weight count over the affine orbit of lam, up to max_depth.
 
-    Same walk as the finite image computation: follow mu -> s_i(mu) only when
-    <mu, alpha_i^vee> > 0 (now including i = 0), incrementing the depth by the
-    pairing; <alpha_i, rho^vee> = 1 for every node makes the increment exact.
+    Same walk as the finite reference route `atomiclen._orbit_depths`:
+    follow mu -> s_i(mu) only when <mu, alpha_i^vee> > 0 (now including
+    i = 0), incrementing the depth by the pairing; <alpha_i, rho^vee> = 1 for
+    every node makes the increment exact.
     Only weights within max_depth are expanded, which keeps the infinite
     affine orbit finite.
     """

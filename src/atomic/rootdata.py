@@ -244,6 +244,11 @@ class RootSystem:
             self.scaled_inner_product(beta, beta),
         )
 
+    def require_finite(self, reason: str):
+        """Refuse an affine label where only the finite type makes sense."""
+        if self.label.affine:
+            raise InvalidType(f"{self.label} is affine; {reason}")
+
     def is_positive_root(self, coords) -> bool:
         return tuple(coords) in self._positive_set
 

@@ -173,6 +173,7 @@ def list_susanfe_reflections(system: RootSystem):
     I is the standard parabolic on indices 2..n, matching the induction
     set-up; returns (root, element, L(t), L(t, I)) tuples in root order.
     """
+    system.require_finite("Susanfe reflections are listed in a finite type")
     sub = standard_parabolic(system, range(2, system.rank + 1)) if system.rank > 1 else None
     out = []
     for alpha in system.positive_roots:

@@ -114,6 +114,8 @@ def test_verify_runs_clean(capsys):
         (("cores", "--n", "2", "--max", "-1"), "size bound -1"),
         (("affine", "--type", "A2~", "--weight", "1,0,0", "--radius", "-1"), "radius -1"),
         (("image", "--type", "A2~"), "A2~ is affine"),
+        (("w0", "--type", "A2~"), "A2~ is affine"),
+        (("susanfe", "--type", "A2~", "--list"), "A2~ is affine"),
     ],
 )
 def test_bad_input_exits_as_usage_error(capsys, argv, message):

@@ -1,0 +1,204 @@
+"""The parabolic recursion behind `image_set` against independent routes.
+
+`_parabolic_histogram` never visits the orbit W.lambda.  Here it is compared
+with the orbit walk `_orbit_depths` (every weight visited once), with the
+q-Weyl dimension formula on minuscule weights (computed below by integer
+polynomial division from the Cartan matrix alone), and with the paper's E8
+claim.  Its stabiliser-division check is shown to fire under `python -O`.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import atomic
+from atomic import atomiclen
+from atomic.atomiclen import (
+    _orbit_depths,
+    _parabolic_histogram,
+    image_set,
+    minuscule_weights,
+)
+from atomic.errors import InvariantViolation
+from atomic.rootdata import root_system
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+WALK_CAP = 2**23
+
+RHO_TYPES = (
+    "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6", "C3", "C4", "C5",
+    "D4", "D5", "D6", "D7", "G2", "F4", "E6", "E7",
+)
+SMALL_TYPES = (
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
+    "D4", "D5", "G2", "F4", "E6",
+)
+MINUSCULE_TYPES = (
+    "A3", "A4", "A5", "A6", "B3", "B4", "B5", "B6", "C3", "C4", "C5",
+    "D4", "D5", "D6", "D7", "E6", "E7",
+)
+
+
+def check_shape(system, lam, hist):
+    """max = 2<lambda, rho^vee> and h[d] = h[max - d] (the map w -> w0 w)."""
+    top = 2 * sum(system.root_coords(lam.fund))
+    assert max(hist) == top
+    assert all(hist[top - d] == count for d, count in hist.items())
+
+
+@pytest.mark.parametrize("spec", RHO_TYPES)
+def test_rho_agrees_with_orbit_walk(spec):
+    system = root_system(spec)
+    hist = _parabolic_histogram(system, system.rho)
+    assert hist == _orbit_depths(system, system.rho, WALK_CAP)
+    check_shape(system, system.rho, hist)
+
+
+@st.composite
+def dominant_weights(draw):
+    system = root_system(draw(st.sampled_from(SMALL_TYPES)))
+    fund = draw(st.lists(st.integers(0, 3), min_size=system.rank, max_size=system.rank))
+    return system, system.weight(*fund)
+
+
+@PROPERTY
+@given(dominant_weights())
+def test_drawn_weights_agree_with_orbit_walk(case):
+    system, lam = case
+    hist = _parabolic_histogram(system, lam)
+    assert hist == _orbit_depths(system, lam, WALK_CAP)
+    check_shape(system, lam, hist)
+
+
+# -- q-Weyl dimension formula on minuscule weights -----------------------------
+
+
+def positive_coroots(cartan):
+    """Positive coroots in simple-coroot coordinates, by reflection closure.
+
+    cartan[i][j] = <alpha_j, alpha_i^vee>, so s_i sends the coroot
+    sum_j c_j alpha_j^vee to itself minus (sum_j c_j cartan[j][i]) alpha_i^vee.
+    """
+    n = len(cartan)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen, frontier = set(simple), list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(n):
+            pairing = sum(beta[j] * cartan[j][i] for j in range(n))
+            image = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+            if all(c >= 0 for c in image) and image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+def poly_times_one_minus(poly, k):
+    """poly * (1 - q^k)."""
+    out = poly + [0] * k
+    for d, c in enumerate(poly):
+        out[d + k] -= c
+    return out
+
+
+def poly_over_one_minus(poly, k):
+    """poly / (1 - q^k), exact: q_d = p_d + q_{d-k}, and the tail must vanish."""
+    quotient = []
+    for d, c in enumerate(poly):
+        quotient.append(c + (quotient[d - k] if d >= k else 0))
+    assert all(c == 0 for c in quotient[len(quotient) - k:]), "division not exact"
+    return quotient[:len(quotient) - k]
+
+
+def q_weyl_dimension(cartan, fund):
+    """prod over alpha > 0 of (1 - q^<lambda + rho, alpha^vee>) / (1 - q^<rho, alpha^vee>)."""
+    coroots = positive_coroots(cartan)
+    poly = [1]
+    for beta in coroots:
+        poly = poly_times_one_minus(poly, sum((m + 1) * c for m, c in zip(fund, beta)))
+    for beta in coroots:
+        poly = poly_over_one_minus(poly, sum(beta))
+    return {d: c for d, c in enumerate(poly) if c}
+
+
+@pytest.mark.parametrize("spec", MINUSCULE_TYPES)
+def test_minuscule_histograms_match_q_weyl_dimension(spec):
+    system = root_system(spec)
+    weights = minuscule_weights(system)
+    assert weights
+    for lam in weights:
+        fund = tuple(int(c) for c in lam.fund)
+        assert _parabolic_histogram(system, lam) == q_weyl_dimension(system.cartan, fund)
+
+
+def test_q_weyl_oracle_counts_dimensions():
+    # dim V(omega_1) of A3, B3 (vector, 7), dim of the 27 of E6 and the 56 of E7
+    for spec, node, dim in (("A3", 1, 4), ("B3", 1, 7), ("E6", 1, 27), ("E7", 7, 56)):
+        system = root_system(spec)
+        fund = tuple(int(i == node) for i in range(1, system.rank + 1))
+        assert sum(q_weyl_dimension(system.cartan, fund).values()) == dim
+
+
+# -- the paper's E8 claim --------------------------------------------------------
+
+
+def test_e8_rho_fills_its_interval():
+    e8 = root_system("E8")
+    report = image_set(e8, e8.rho, cap=2**31, histogram=True)
+    assert report.orbit_size == 696729600
+    assert report.max_value == 1240
+    assert report.missing == ()
+    hist = report.histogram
+    assert all(hist[1240 - d] == count for d, count in hist.items())
+
+
+# -- the stabiliser division survives python -O -----------------------------------
+
+
+def test_stabiliser_remainder_raises(monkeypatch):
+    a2 = root_system("A2")
+    omega = a2.fundamental_weight(1)
+    assert _parabolic_histogram(a2, omega) == {0: 1, 1: 1, 2: 1}
+    unpack = atomiclen._unpack
+    monkeypatch.setattr(atomiclen, "_unpack", lambda packed, width: {
+        d: c + (d == 0) for d, c in unpack(packed, width).items()
+    })
+    with pytest.raises(InvariantViolation, match="not a multiple"):
+        image_set(a2, omega)
+
+
+def test_stabiliser_check_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from atomic import atomiclen
+        from atomic.errors import InvariantViolation
+        from atomic.rootdata import root_system
+
+        assert False, "asserts are stripped under -O, so this line is inert"
+        unpack = atomiclen._unpack
+        atomiclen._unpack = lambda packed, width: {
+            d: c + (d == 0) for d, c in unpack(packed, width).items()
+        }
+        a2 = root_system("A2")
+        try:
+            atomiclen.image_set(a2, a2.fundamental_weight(1))
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("not raised")
+        """
+    )
+    src = str(Path(atomic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: 3 elements at value 0"), result.stdout
