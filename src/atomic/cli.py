@@ -157,12 +157,15 @@ def cmd_affine(args):
 
 
 def cmd_cores(args):
-    sizes = cores.core_sizes(args.n, args.max)
+    if args.count_only:
+        sizes = cores.core_sizes(args.n, args.max)
+    else:
+        listing = cores.orbit_cores(args.n, args.max)
+        sizes = {k: len(group) for k, group in listing.items()}
     payload = {"n": args.n, "sizes": {str(k): v for k, v in sizes.items()}}
     if args.count_only:
         lines = [f"{k}: {v}" for k, v in sizes.items()]
     else:
-        listing = cores.orbit_cores(args.n, args.max)
         payload["cores"] = {
             str(k): [list(p) for p in v] for k, v in listing.items()
         }

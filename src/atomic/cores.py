@@ -7,14 +7,22 @@ beta number b >= m has b - m among the beta numbers.
 
 The reflection s_i acts on an m-core by adding every addable box of residue
 i (residue of box (r, c) is (c - r) mod m, rows and columns 0-based) or,
-failing that, removing every removable box of residue i.  Walking this
-action from the empty partition enumerates exactly the m-cores, and the
-size of a core is the depth at which the walk first reaches it.
+failing that, removing every removable box of residue i.  `residue_reflect`
+does this on the partition itself.
+
+The enumeration walks the same action on the m-abacus (James-Kerber): an
+m-core is one integer charge c_j per runner j = 0..m-1, summing to 0, with
+runner j holding beads at j + m*L for every L < c_j.  For i != 0, s_i swaps
+c_{i-1} and c_i and adds d = c_{i-1} - c_i boxes; s_0 sets c_0 = c_{m-1} + 1
+and c_{m-1} = c_0 - 1 and adds d = c_{m-1} - c_0 + 1 boxes (Garvan-Kim-
+Stanton).  A negative d removes -d boxes.  Every nonempty core has a residue
+that removes boxes; reaching each core only from its smallest such residue
+makes the walk a tree rooted at the empty core, so no core is visited twice
+and no seen set is kept.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
 from .errors import InvalidModulus, NegativeBound, NotACore, SizeTooLarge
@@ -150,84 +158,88 @@ def residue_reflect(p, i: int, m: int) -> Partition:
     return check_partition(out)
 
 
-def orbit_cores(n: int, max_size: int, cap=ORBIT_SIZE_CAP):
-    """All (n+1)-cores of size <= max_size, grouped by size.
+def _abacus_walk(m: int, max_size: int, cap: int):
+    """Yield (charges, size) for every m-core of size <= max_size, each once.
 
-    Breadth-first walk of the residue reflections from the empty partition;
-    every core is reachable through cores of strictly smaller size, so
-    pruning at max_size loses nothing.
+    Depth-first over the adding reflections only: a child reached by s_i is
+    kept when i is its smallest residue that removes boxes, so it is reached
+    from exactly one parent, of smaller size.
     """
-    m = n + 1
     if m < 2:
         raise InvalidModulus(f"modulus n + 1 = {m} must be at least 2")
     if max_size < 0:
         raise NegativeBound(f"size bound {max_size} must be nonnegative")
-    seen = {()}
-    queue = deque([()])
-    by_size: dict[int, list] = {}
+    last = m - 1
+    stack = [((0,) * m, 0)]
     count = 0
-    while queue:
-        p = queue.popleft()
-        by_size.setdefault(sum(p), []).append(p)
+    while stack:
+        c, s = stack.pop()
         count += 1
         if count > cap:
             raise SizeTooLarge(f"more than {cap} cores below size {max_size}")
-        addable, removable = residues_of_boundary(p, m)
-        rows = list(p)
-        for i in range(m):
-            if addable[i]:
-                nxt = list(rows)
-                for r, _ in addable[i]:
-                    if r == len(nxt):
-                        nxt.append(1)
-                    else:
-                        nxt[r] += 1
-            elif removable[i]:
-                nxt = list(rows)
-                for r, _ in removable[i]:
-                    nxt[r] -= 1
-                while nxt and nxt[-1] == 0:
-                    nxt.pop()
-            else:
-                continue
-            q = tuple(nxt)
-            if sum(q) <= max_size and q not in seen:
-                seen.add(q)
-                queue.append(q)
+        yield c, s
+        room = max_size - s
+        d = c[last] - c[0] + 1
+        if 0 < d <= room:
+            # s_0 removes boxes from this child, and 0 is the smallest residue
+            stack.append(((c[last] + 1,) + c[1:last] + (c[0] - 1,), s + d))
+        # a child of s_i (i >= 1) removes no boxes below i iff child[:i] is
+        # nonincreasing and child[0] <= child[m-1] + 1; c[:k] is the longest
+        # nonincreasing prefix of c, and child[:i] = c[:i-1] + (c[i],)
+        k = 1
+        while k < m and c[k - 1] >= c[k]:
+            k += 1
+        for i in range(1, min(k + 2, m)):
+            d = c[i - 1] - c[i]
+            if 0 < d <= room and (i == 1 or c[i - 2] >= c[i]):
+                child = c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :]
+                if child[0] <= child[last] + 1:
+                    stack.append((child, s + d))
+
+
+def _partition(charges) -> Partition:
+    """The core with these runner charges: parts x_r + r + 1 of the beads x_r.
+
+    Every position below m * min(charges) holds a bead, so only the beads
+    above it give nonzero parts.
+    """
+    m = len(charges)
+    low = min(charges)
+    beads = sorted(
+        (j + m * level for j, c in enumerate(charges) for level in range(low, c)),
+        reverse=True,
+    )
+    parts = (x + r + 1 for r, x in enumerate(beads))
+    return tuple(part for part in parts if part > 0)
+
+
+def orbit_cores(n: int, max_size: int, cap=ORBIT_SIZE_CAP):
+    """All (n+1)-cores of size <= max_size, grouped by size.
+
+    Every core is reachable through cores of strictly smaller size, so
+    pruning the walk at max_size loses nothing.
+    """
+    by_size: dict[int, list] = {}
+    for charges, size in _abacus_walk(n + 1, max_size, cap):
+        by_size.setdefault(size, []).append(_partition(charges))
     return {size: sorted(lst) for size, lst in sorted(by_size.items())}
 
 
 def core_sizes(n: int, max_size: int, cap=ORBIT_SIZE_CAP):
     """Map size -> number of (n+1)-cores of that size, for sizes <= max_size."""
-    return {size: len(lst) for size, lst in orbit_cores(n, max_size, cap).items()}
+    counts: dict[int, int] = {}
+    for _, size in _abacus_walk(n + 1, max_size, cap):
+        counts[size] = counts.get(size, 0) + 1
+    return {size: counts[size] for size in sorted(counts)}
 
 
 def count_lattice_points(n: int, target: int):
     """#{beta in the A_n root lattice with ((n+1)/2)|beta|^2 - ht(beta) = target}.
 
     Direct quadratic-form enumeration, independent of any partition
-    combinatorics.
+    combinatorics: one bucket of `lattice_value_histogram`.
     """
-    from .affine import (
-        _certified_max,
-        _lattice_ball,
-        basic_weight,
-        level_one_atomic_length,
-        translation_lattice_basis,
-    )
-
-    system = root_system(f"A{n}~")
-    basis = translation_lattice_basis(system)
-    # value = (hvee/2)|b|^2 - ht(b) >= (hvee/2)|b|^2 - c0 |b| with c0 = |h x0|;
-    # bound the ball by solving the quadratic in |b| with padded constants.
-    norm = Fraction(2 * target, n + 1) + 2
-    while _certified_max(system, basic_weight(system), norm) < target:
-        norm += max(1, norm // 2)
-    count = 0
-    for beta in _lattice_ball(system, basis, norm, cap=10**8):
-        if level_one_atomic_length(system, beta) == target:
-            count += 1
-    return count
+    return lattice_value_histogram(n, target).get(target, 0)
 
 
 def lattice_value_histogram(n: int, max_target: int):
@@ -242,6 +254,8 @@ def lattice_value_histogram(n: int, max_target: int):
 
     system = root_system(f"A{n}~")
     basis = translation_lattice_basis(system)
+    # value = (hvee/2)|b|^2 - ht(b) >= (hvee/2)|b|^2 - c0 |b| with c0 = |h x0|;
+    # bound the ball by solving the quadratic in |b| with padded constants.
     norm = Fraction(2 * max_target, n + 1) + 2
     while _certified_max(system, basic_weight(system), norm) < max_target:
         norm += max(1, norm // 2)

@@ -120,6 +120,12 @@ def test_four_core_full_range():
 def test_orbit_cap():
     with pytest.raises(SizeTooLarge):
         orbit_cores(2, 100, cap=10)
+    with pytest.raises(SizeTooLarge):
+        core_sizes(3, 10**18, cap=1000)
+    # cap counts the cores visited: seven 3-cores have size <= 5
+    assert sum(core_sizes(2, 5, cap=7).values()) == 7
+    with pytest.raises(SizeTooLarge):
+        core_sizes(2, 5, cap=6)
     with pytest.raises(InvalidModulus):
         orbit_cores(0, 5)
     with pytest.raises(NegativeBound):
@@ -160,3 +166,55 @@ def test_core_sizes_match_lattice_counts():
         # level-one length is N
         for target in range(21):
             assert sizes.get(target, 0) == count_lattice_points(n, target)
+
+
+def _reflect_charges(c, i):
+    """s_i on the m-abacus: (charges, boxes added), by the runner-swap rule."""
+    m = len(c)
+    if i == 0:
+        return (c[m - 1] + 1,) + c[1 : m - 1] + (c[0] - 1,), c[m - 1] - c[0] + 1
+    return c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :], c[i - 1] - c[i]
+
+
+def test_abacus_walk_matches_residue_reflect():
+    from atomic.cores import _abacus_walk, _partition
+
+    for m in range(2, 7):
+        seen = set()
+        for c, size in _abacus_walk(m, 20, 10**6):
+            assert c not in seen and sum(c) == 0, (m, c)
+            seen.add(c)
+            p = _partition(c)
+            assert sum(p) == size and is_core(p, m), (m, c)
+            for i in range(m):
+                child, d = _reflect_charges(c, i)
+                q = _partition(child)
+                assert q == residue_reflect(p, i, m), (m, c, i)
+                assert sum(q) == size + d, (m, c, i)
+        listing = orbit_cores(m - 1, 20)
+        assert core_sizes(m - 1, 20) == {k: len(v) for k, v in listing.items()}
+        flat = [p for group in listing.values() for p in group]
+        assert len(flat) == len(set(flat)) == len(seen), m
+
+
+def _t_core_series(t, bound):
+    """Coefficients of prod_k (1 - q^{tk})^t / (1 - q^k) up to q^bound."""
+    coeffs = [1] + [0] * bound
+    for k in range(1, bound + 1):
+        for j in range(k, bound + 1):
+            coeffs[j] += coeffs[j - k]
+    for k in range(t, bound + 1, t):
+        for _ in range(t):
+            for j in range(bound, k - 1, -1):
+                coeffs[j] -= coeffs[j - k]
+    return coeffs
+
+
+@pytest.mark.parametrize("t", range(2, 10))
+def test_core_sizes_match_generating_function(t):
+    bound = 120 if t <= 7 else 80
+    series = _t_core_series(t, bound)
+    sizes = core_sizes(t - 1, bound)
+    assert sizes == {k: v for k, v in enumerate(series) if v}
+    # Granville-Ono: every size has a t-core once t >= 4; not so for t = 2, 3
+    assert (len(sizes) == bound + 1) == (t >= 4)
