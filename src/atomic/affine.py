@@ -35,7 +35,7 @@ from .errors import (
     RadiusTooLarge,
 )
 from .linalg import mat_inv, mat_vec
-from .rootdata import RootSystem, root_system
+from .rootdata import RootSystem
 from .weyl import WeylElement, identity_element, root_reflection, simple_reflection
 
 PROBE_CAP = 2**22
@@ -44,11 +44,6 @@ PROBE_CAP = 2**22
 def _require_affine(system: RootSystem):
     if not system.label.affine:
         raise InvalidType(f"{system.label} is not an affine label")
-
-
-def finite_core(system: RootSystem) -> RootSystem:
-    """The finite root system underlying an affine label."""
-    return root_system(system.label.finite())
 
 
 def _exact(num: int, den: int):
@@ -92,10 +87,6 @@ class AffineWeight:
         put(self, "fund", tuple(_exact(f, den) for f in fund_num))
         put(self, "m0", _exact(m0_num, den))
         put(self, "_dominant_integral", all(c >= 0 and c % den == 0 for c in coords))
-
-    def zero_pairing(self):
-        """m_0 = level - <finite, theta^vee>."""
-        return self.m0
 
     def is_dominant_integral(self) -> bool:
         return self._dominant_integral

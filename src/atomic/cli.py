@@ -26,8 +26,6 @@ from .errors import (
 )
 from .rootdata import root_system
 
-STRESS_ORBIT_CAP = 2**31
-
 
 def _parse_weight(text: str):
     try:
@@ -56,8 +54,7 @@ def _emit(args, payload: dict, text_lines):
 def cmd_image(args):
     system = root_system(args.type)
     lam = system.weight(*args.weight) if args.weight else system.rho
-    cap = STRESS_ORBIT_CAP if args.stress else args.cap
-    report = atomiclen.image_set(system, lam, cap=cap)
+    report = atomiclen.image_set(system, lam, cap=args.cap)
     payload = {
         "type": str(system.label),
         "weight": [str(c) for c in lam.fund],
@@ -230,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=_parse_weight, default=None,
                    help="fundamental coordinates m_1,..,m_n (default: all ones)")
     p.add_argument("--cap", type=int, default=atomiclen.ORBIT_CAP)
-    p.add_argument("--stress", action="store_true",
-                   help="lift the orbit cap for very large types")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_image)
 

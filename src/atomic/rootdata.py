@@ -249,9 +249,6 @@ class RootSystem:
         if self.label.affine:
             raise InvalidType(f"{self.label} is affine; {reason}")
 
-    def is_positive_root(self, coords) -> bool:
-        return tuple(coords) in self._positive_set
-
     def is_root(self, coords) -> bool:
         c = tuple(coords)
         return c in self._positive_set or tuple(-x for x in c) in self._positive_set

@@ -14,7 +14,6 @@ never through words.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
@@ -25,7 +24,7 @@ from .errors import (
     SubgroupTooLarge,
     SystemMismatch,
 )
-from .linalg import mat_inv, solve_columns
+from .linalg import mat_inv
 from .rootdata import RootSystem, Weight
 
 GROUP_ENUMERATION_CAP = 10**7
@@ -463,12 +462,6 @@ class ReflectionSubgroup:
         self.cartan = tuple(
             tuple(int(system.coroot_pairing(b, a)) for b in delta) for a in delta
         )
-        # Delta_A coordinates of each root of Phi_A^+, used for heights in
-        # the induced Coxeter system.
-        self._delta_coords = {}
-        for a in self.phi_plus:
-            sol = solve_columns(self.delta, a)
-            self._delta_coords[a] = tuple(sol)
         self._elements = None
 
     def contains_root(self, root) -> bool:
@@ -482,19 +475,9 @@ class ReflectionSubgroup:
             )
         return self._elements
 
-    def __contains__(self, w: WeylElement) -> bool:
-        return w in self.elements()
-
-    def height_in_subgroup(self, root) -> Fraction:
-        """Height of a Phi_A root with respect to Delta_A."""
-        return sum(self._delta_coords[tuple(root)])
-
     def inversion_set_in_subgroup(self, w: WeylElement):
         """N_A(w) = N(w) cap Phi_A for w in W_A."""
         return tuple(r for r in w.inversion_set() if r in self._phi_set)
-
-    def length_in_subgroup(self, w: WeylElement) -> int:
-        return len(self.inversion_set_in_subgroup(w))
 
     def atomic_length_in_subgroup(self, w: WeylElement):
         """Atomic length over N_A(w), with ambient heights.

@@ -2,7 +2,9 @@
 
 Each test finishes by printing a single PASS line (visible with `pytest -s`
 or in the captured section of a failing run).  Stated wall-clock budgets are
-asserted where the criteria give one.
+asserted where the criteria give one.  The pinned tables live in
+`atomic.fixtures`; a criterion that asserts exactly what one fixture group of
+`atomic verify` checks runs that group.
 """
 
 import random
@@ -12,24 +14,25 @@ from itertools import permutations
 import pytest
 
 from atomic.errors import OrbitTooLarge
-from atomic.rootdata import classical_root, root_system
-from atomic import affine, atomiclen, cores, perms, susanfe, weyl
+from atomic.rootdata import root_system
+from atomic import affine, atomiclen, cores, fixtures, perms, susanfe, weyl
 
 
 def _announce(number, message):
     print(f"criterion {number:02d}: PASS - {message}")
 
 
+def assert_fixture_group(check):
+    """Run one fixture group of `atomic verify`; fail naming every failed label."""
+    results = check()
+    failed = [label for label, ok, _ in results if not ok]
+    assert not failed, f"fixture checks failed: {', '.join(failed)}"
+    return results
+
+
 def test_criterion_01_rank2_images():
     start = time.time()
-    expected = {
-        "A2": (0, 1, 3, 4),
-        "B2": (0, 1, 3, 4, 6, 7),
-        "G2": (0, 1, 3, 5, 8, 11, 13, 15, 16),
-    }
-    for label, values in expected.items():
-        system = root_system(label)
-        assert atomiclen.image_set(system, system.rho).values == values
+    assert_fixture_group(fixtures.check_rank2_image_sets)
     elapsed = time.time() - start
     assert elapsed < 1.0
     _announce(1, f"rank-2 image sets exact ({elapsed:.2f}s)")
@@ -37,25 +40,7 @@ def test_criterion_01_rank2_images():
 
 def test_criterion_02_w0_closed_forms():
     start = time.time()
-    closed = {
-        "A": lambda n: n * (n + 1) * (n + 2) // 6,
-        "B": lambda n: n * (n + 1) * (4 * n - 1) // 6,
-        "C": lambda n: n * (n + 1) * (4 * n - 1) // 6,
-        "D": lambda n: n * (n - 1) * (2 * n - 1) // 3,
-    }
-    checked = 0
-    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
-        for n in range(lo, 9):
-            system = root_system(f"{fam}{n}")
-            via_pairing = 2 * sum(system.rho_coords)
-            via_action = atomiclen.atomic_length_w0(system, system.rho)
-            assert via_pairing == via_action == closed[fam](n)
-            checked += 1
-    for label, value in (("E6", 156), ("E7", 399), ("E8", 1240), ("F4", 110), ("G2", 16)):
-        system = root_system(label)
-        assert 2 * sum(system.rho_coords) == value
-        assert atomiclen.atomic_length_w0(system, system.rho) == value
-        checked += 1
+    checked = len(assert_fixture_group(fixtures.check_longest_element_values))
     elapsed = time.time() - start
     assert elapsed < 1.0
     _announce(2, f"{checked} longest-element values, both routes ({elapsed:.2f}s)")
@@ -102,38 +87,7 @@ def test_criterion_04_induction_agrees():
 
 def test_criterion_05_susanfe_fixtures():
     start = time.time()
-    a4 = root_system("A4~")
-    e = lambda i, j: classical_root(a4, "diff", i, j)
-    vec = affine.shi_vector(affine.embed_finite(a4, weyl.evaluate(a4, (1, 2, 3, 4, 3, 2, 1))))
-    assert {r for r, c in vec.as_dict().items() if c == -1} == {
-        e(1, 2), e(1, 3), e(1, 4), e(1, 5), e(2, 5), e(3, 5), e(4, 5)
-    }
-    assert set(vec.coefficients) <= {-1, 0}
-
-    b4 = root_system("B4~")
-    lab = lambda kind, i, j=None: classical_root(b4, kind, i, j)
-    vec = affine.shi_vector(
-        affine.embed_finite(b4, weyl.evaluate(b4, (2, 3, 4, 3, 2, 1, 2, 3, 4, 3, 2)))
-    )
-    assert {r for r, c in vec.as_dict().items() if c == -1} == {
-        lab("diff", 1, 3), lab("diff", 1, 4), lab("short", 1),
-        lab("sum", 1, 4), lab("sum", 1, 3), lab("sum", 1, 2),
-        lab("diff", 2, 3), lab("diff", 2, 4), lab("short", 2),
-        lab("sum", 2, 4), lab("sum", 2, 3),
-    }
-    vec = affine.shi_vector(affine.embed_finite(b4, weyl.evaluate(b4, (1, 2, 3, 4, 3, 2, 1))))
-    assert {r for r, c in vec.as_dict().items() if c == -1} == {
-        lab("diff", 1, 2), lab("diff", 1, 3), lab("diff", 1, 4),
-        lab("short", 1), lab("sum", 1, 4), lab("sum", 1, 3), lab("sum", 1, 2),
-    }
-    c4 = root_system("C4~")
-    lab = lambda kind, i, j=None: classical_root(c4, kind, i, j)
-    vec = affine.shi_vector(affine.embed_finite(c4, weyl.evaluate(c4, (1, 2, 3, 4, 3, 2, 1))))
-    assert {r for r, c in vec.as_dict().items() if c == -1} == {
-        lab("diff", 1, 2), lab("diff", 1, 3), lab("diff", 1, 4),
-        lab("sum", 1, 4), lab("sum", 1, 3), lab("sum", 1, 2), lab("long", 1),
-    }
-
+    assert_fixture_group(fixtures.check_shi_patterns)
     for label in ("A3", "B3"):
         system = root_system(label)
         t = susanfe.special_reflection(system).element
@@ -149,21 +103,9 @@ def test_criterion_05_susanfe_fixtures():
 
 
 def test_criterion_06_scaled_inversion_sets():
+    assert_fixture_group(fixtures.check_scaled_inversion_sets)
     a4 = root_system("A4")
-    m = (1, 2, 3, 4)
-    lam = a4.weight(*m)
-    e = lambda i, j: classical_root(a4, "diff", i, j)
-    scale = lambda k, r: tuple(m[k - 1] * c for c in r)
-    first = atomiclen.lambda_inversion_set(a4, (1, 2, 1, 3, 4, 3), lam)
-    assert sorted(first.vectors()) == sorted(
-        [scale(1, e(1, 2)), scale(1, e(2, 3)), scale(2, e(1, 3)),
-         scale(3, e(1, 4)), scale(3, e(4, 5)), scale(4, e(1, 5))]
-    )
-    second = atomiclen.lambda_inversion_set(a4, (2, 1, 4, 2, 3, 4), lam)
-    assert sorted(second.vectors()) == sorted(
-        [scale(1, e(1, 3)), scale(2, e(2, 3)), scale(2, e(1, 2)),
-         scale(3, e(1, 5)), scale(4, e(1, 4)), scale(4, e(4, 5))]
-    )
+    lam = a4.weight(*fixtures.SCALED_INVERSION_WEIGHT)
     words = 0
     for w in weyl.enumerate_group(a4):
         target = tuple((lam - w.act_weight(lam)).root)
@@ -215,21 +157,7 @@ def test_criterion_07_property_suites():
 
 def test_criterion_08_ideal_weights():
     start = time.time()
-    c3 = root_system("C3")
-    report = atomiclen.is_ideal(c3, c3.weight(2, 1, 1))
-    assert report.ideal and report.image.max_value == 27
-    report = atomiclen.is_ideal(c3, c3.weight(1, 2, 1))
-    assert not report.ideal
-    assert report.image.values == (
-        0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 19, 20, 21,
-        22, 23, 24, 25, 26, 28, 29, 30,
-    )
-    report = atomiclen.is_ideal(c3, c3.weight(1, 1, 2))
-    assert not report.ideal
-    assert report.image.values == (
-        0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 20, 21,
-        22, 23, 24, 25, 27, 28, 29, 30, 31,
-    )
+    assert_fixture_group(fixtures.check_ideal_weights)
     count = 0
     for label in ("A3", "B3", "C3", "D4", "D5"):
         system = root_system(label)
@@ -243,31 +171,10 @@ def test_criterion_08_ideal_weights():
 
 def test_criterion_09_affine_table_and_dual_path():
     start = time.time()
+    rows = assert_fixture_group(fixtures.check_affine_level_one_table)
+    assert len(rows) == 12
     a2 = root_system("A2~")
     lam = affine.basic_weight(a2)
-    table = [
-        ((), (), (0, 0), 0),
-        ((0,), (2, 1, 2), (1, 1), 1),
-        ((1, 0), (2, 1), (0, 1), 2),
-        ((2, 0), (1, 2), (1, 0), 2),
-        ((2, 1, 0), (1,), (0, -1), 4),
-        ((1, 2, 0), (2,), (-1, 0), 4),
-        ((2, 1, 2, 0), (), (-1, -1), 5),
-        ((0, 2, 1, 0), (1, 2), (2, 1), 6),
-        ((0, 1, 2, 0), (2, 1), (1, 2), 6),
-        ((0, 2, 1, 2, 0), (1, 2, 1), (2, 2), 8),
-        ((1, 0, 2, 1, 0), (2,), (-1, 1), 9),
-        ((2, 0, 1, 2, 0), (1,), (1, -1), 9),
-    ]
-    values = []
-    for word, wbar_word, beta, value in table:
-        element = affine.affine_from_word(a2, word)
-        assert element.beta == beta
-        assert element.fbar == weyl.evaluate(a2, wbar_word)
-        assert affine.affine_atomic_length(element, lam) == value
-        assert affine.level_one_atomic_length(a2, beta) == value
-        values.append(value)
-    assert values == [0, 1, 2, 2, 4, 4, 5, 6, 6, 8, 9, 9]
 
     # dual-path agreement on every word of length <= 10 (the closed form is
     # asserted against the direct action inside affine_atomic_length);
@@ -293,7 +200,7 @@ def test_criterion_09_affine_table_and_dual_path():
 def test_criterion_10_cores_slice():
     start = time.time()
     sizes = cores.core_sizes(2, 5)
-    assert set(sizes) == {0, 1, 2, 4, 5}
+    assert set(sizes) == set(fixtures.THREE_CORE_SIZES)
     shaded = cores.orbit_cores(2, 5)
     assert shaded == {
         0: [()], 1: [(1,)], 2: [(1, 1), (2,)],

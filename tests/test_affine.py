@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from atomic.errors import IndexOutOfRange, InvalidType, NegativeBound, NotDominant
-from atomic.rootdata import classical_root, root_system
+from atomic.fixtures import AFFINE_A2_TABLE, shi_minus_ones, shi_pattern
+from atomic.rootdata import root_system
 from atomic.affine import (
     AffineWeight,
     affine_atomic_length,
@@ -92,44 +93,21 @@ def test_shi_alcove_point_is_interior():
 
 
 def test_shi_fixture_a4():
-    a4 = root_system("A4~")
-    e = lambda i, j: classical_root(a4, "diff", i, j)
-    t = embed_finite(a4, evaluate(a4, (1, 2, 3, 4, 3, 2, 1)))
-    vec = shi_vector(t)
-    negatives = {r for r, c in vec.as_dict().items() if c == -1}
-    assert negatives == {e(1, 2), e(1, 3), e(1, 4), e(1, 5), e(2, 5), e(3, 5), e(4, 5)}
+    vec, want = shi_pattern("a4-highest-reflection")
+    assert shi_minus_ones(vec) == want
     assert set(vec.coefficients) <= {0, -1}
     assert vec.pyramid_rows() == [[-1, 0, 0, -1], [-1, 0, -1], [-1, -1], [-1]]
 
 
 def test_shi_fixture_b4_both_reflections():
-    b4 = root_system("B4~")
-    lab = lambda kind, i, j=None: classical_root(b4, kind, i, j)
-    t = embed_finite(b4, evaluate(b4, (2, 3, 4, 3, 2, 1, 2, 3, 4, 3, 2)))
-    negatives = {r for r, c in shi_vector(t).as_dict().items() if c == -1}
-    assert negatives == {
-        lab("diff", 1, 3), lab("diff", 1, 4), lab("short", 1),
-        lab("sum", 1, 4), lab("sum", 1, 3), lab("sum", 1, 2),
-        lab("diff", 2, 3), lab("diff", 2, 4), lab("short", 2),
-        lab("sum", 2, 4), lab("sum", 2, 3),
-    }
-    t_prime = embed_finite(b4, evaluate(b4, (1, 2, 3, 4, 3, 2, 1)))
-    negatives = {r for r, c in shi_vector(t_prime).as_dict().items() if c == -1}
-    assert negatives == {
-        lab("diff", 1, 2), lab("diff", 1, 3), lab("diff", 1, 4),
-        lab("short", 1), lab("sum", 1, 4), lab("sum", 1, 3), lab("sum", 1, 2),
-    }
+    for name in ("b4-highest-reflection", "b4-short-reflection"):
+        vec, want = shi_pattern(name)
+        assert shi_minus_ones(vec) == want, name
 
 
 def test_shi_fixture_c4():
-    c4 = root_system("C4~")
-    lab = lambda kind, i, j=None: classical_root(c4, kind, i, j)
-    t = embed_finite(c4, evaluate(c4, (1, 2, 3, 4, 3, 2, 1)))
-    negatives = {r for r, c in shi_vector(t).as_dict().items() if c == -1}
-    assert negatives == {
-        lab("diff", 1, 2), lab("diff", 1, 3), lab("diff", 1, 4),
-        lab("sum", 1, 4), lab("sum", 1, 3), lab("sum", 1, 2), lab("long", 1),
-    }
+    vec, want = shi_pattern("c4-highest-reflection")
+    assert shi_minus_ones(vec) == want
 
 
 def test_shi_admissibility_random_words():
@@ -205,12 +183,7 @@ def test_finite_action_embeds():
 def test_affine_atomic_length_table():
     a2 = root_system("A2~")
     lam = basic_weight(a2)
-    rows = {
-        (): 0, (0,): 1, (1, 0): 2, (2, 0): 2, (2, 1, 0): 4, (1, 2, 0): 4,
-        (2, 1, 2, 0): 5, (0, 2, 1, 0): 6, (0, 1, 2, 0): 6, (0, 2, 1, 2, 0): 8,
-        (1, 0, 2, 1, 0): 9, (2, 0, 1, 2, 0): 9,
-    }
-    for word, value in rows.items():
+    for word, *_, value in AFFINE_A2_TABLE:
         element = affine_from_word(a2, word)
         assert affine_atomic_length(element, lam) == value
         assert level_one_atomic_length(a2, element.beta) == value
@@ -304,7 +277,7 @@ def test_affine_weight_constructor():
     lam = affine_weight(a2, (1, 0, 0))
     assert lam == basic_weight(a2)
     lam = affine_weight(a2, (0, 1, 0))
-    assert lam.level == 1 and lam.zero_pairing() == 0
+    assert lam.level == 1 and lam.m0 == 0
     with pytest.raises(IndexOutOfRange):
         affine_weight(a2, (1, 0))
 

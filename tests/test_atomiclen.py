@@ -3,6 +3,14 @@ from fractions import Fraction
 import pytest
 
 from atomic.errors import InvalidType, NotDominant, NotReduced, OrbitTooLarge
+from atomic.fixtures import (
+    C3_IDEAL_VALUES,
+    MINUSCULE_NODES,
+    RANK2_IMAGES,
+    W0_CLASSICAL,
+    W0_CLOSED_FORMS,
+    W0_EXCEPTIONAL,
+)
 from atomic.rootdata import classical_root, root_system
 from atomic.atomiclen import (
     atomic_length,
@@ -110,12 +118,7 @@ def test_lambda_inversion_sum_identity_all_words_a4():
 
 
 def test_image_rank2_tables():
-    expected = {
-        "A2": (0, 1, 3, 4),
-        "B2": (0, 1, 3, 4, 6, 7),
-        "G2": (0, 1, 3, 5, 8, 11, 13, 15, 16),
-    }
-    for label, values in expected.items():
+    for label, values in RANK2_IMAGES.items():
         system = root_system(label)
         report = image_set(system, system.rho)
         assert report.values == values
@@ -161,17 +164,12 @@ def test_image_refuses_affine_label():
 
 
 def test_w0_closed_forms():
-    closed = {
-        "A": lambda n: n * (n + 1) * (n + 2) // 6,
-        "B": lambda n: n * (n + 1) * (4 * n - 1) // 6,
-        "C": lambda n: n * (n + 1) * (4 * n - 1) // 6,
-        "D": lambda n: n * (n - 1) * (2 * n - 1) // 3,
-    }
-    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4)):
-        for n in range(lo, 9):
-            system = root_system(f"{fam}{n}")
-            assert atomic_length_w0(system, system.rho) == closed[fam](n)
-    for label, value in (("F4", 110), ("A3", 10), ("E6", 156)):
+    for label in W0_CLASSICAL:
+        system = root_system(label)
+        want = W0_CLOSED_FORMS[system.label.family](system.rank)
+        assert atomic_length_w0(system, system.rho) == want
+    cases = {**W0_EXCEPTIONAL, "A3": W0_CLOSED_FORMS["A"](3)}
+    for label, value in cases.items():
         system = root_system(label)
         assert atomic_length_w0(system, system.rho) == value
         zero = system.weight(*[0] * system.rank)
@@ -180,15 +178,11 @@ def test_w0_closed_forms():
 
 def test_is_ideal_c3_examples():
     c3 = root_system("C3")
-    good = is_ideal(c3, c3.weight(2, 1, 1))
-    assert good.ideal and good.image.max_value == 27
-    assert not is_ideal(c3, c3.weight(1, 2, 1)).ideal
-    assert not is_ideal(c3, c3.weight(1, 1, 2)).ideal
-    rep = is_ideal(c3, c3.weight(1, 1, 2))
-    assert rep.image.values == (
-        0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18, 20,
-        21, 22, 23, 24, 25, 27, 28, 29, 30, 31,
-    )
+    for coords, values in C3_IDEAL_VALUES.items():
+        rep = is_ideal(c3, c3.weight(*coords))
+        assert rep.ideal == (values == tuple(range(len(values)))), coords
+        assert rep.image.values == values
+        assert rep.image.max_value == values[-1]
 
 
 def test_is_ideal_fast_reject():
@@ -200,25 +194,13 @@ def test_is_ideal_fast_reject():
 
 
 def test_minuscule_classification():
-    cases = {
-        "A3": {1, 2, 3},
-        "B3": {3},
-        "C3": {1},
-        "D4": {1, 3, 4},
-        "D5": {1, 4, 5},
-        "E6": {1, 6},
-        "E7": {7},
-        "E8": set(),
-        "F4": set(),
-        "G2": set(),
-    }
-    for label, nodes in cases.items():
+    for label, nodes in MINUSCULE_NODES.items():
         system = root_system(label)
         got = {
             next(i + 1 for i, c in enumerate(wt.fund) if c)
             for wt in minuscule_weights(system)
         }
-        assert got == nodes, label
+        assert got == set(nodes), label
 
 
 def test_minuscule_weights_are_ideal():

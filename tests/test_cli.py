@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from atomic import fixtures
 from atomic.cli import main
+from test_acceptance import assert_fixture_group
 
 
 def run_cli(capsys, *argv):
@@ -17,7 +19,7 @@ def test_image_json(capsys):
     code, out, _ = run_cli(capsys, "image", "--type", "A2", "--weight", "1,1", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["values"] == [0, 1, 3, 4]
+    assert payload["values"] == list(fixtures.RANK2_IMAGES["A2"])
     assert payload["max"] == 4
     assert payload["missing"] == [2]
     assert payload["orbit_size"] == 6
@@ -88,6 +90,23 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 2
 
 
+def test_image_e8_under_raised_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "image", "--type", "E8", "--cap", "696729600", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max"] == 1240
+    assert payload["missing"] == []
+    assert payload["orbit_size"] == 696729600
+
+
+def test_stress_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["image", "--type", "E8", "--stress"])
+    assert err.value.code == 2
+
+
 def test_cap_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "image", "--type", "B4", "--cap", "10")
     assert code == 3
@@ -105,6 +124,16 @@ def test_verify_runs_clean(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
+
+
+def test_one_table_feeds_verify_and_acceptance(capsys, monkeypatch):
+    monkeypatch.setitem(fixtures.RANK2_IMAGES, "A2", (0, 1, 2, 3, 4))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL  rank2-image/A2  ")
+    with pytest.raises(AssertionError, match="rank2-image/A2"):
+        assert_fixture_group(fixtures.check_rank2_image_sets)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from atomic.errors import DimensionMismatch, IndexOutOfRange, InvalidType
+from atomic.fixtures import W0_CLASSICAL, W0_CLOSED_FORMS, W0_EXCEPTIONAL
 from atomic.rootdata import (
     TypeLabel,
     classical_root,
@@ -115,7 +116,7 @@ def test_inner_product_values():
     theta = a2.highest_root
     assert a2.inner_product(theta, theta) == 2
     a3 = root_system("A3")
-    assert 2 * sum(a3.rho_coords) == 10  # n(n+1)(n+2)/6 at n=3
+    assert 2 * sum(a3.rho_coords) == W0_CLOSED_FORMS["A"](3)
     with pytest.raises(DimensionMismatch):
         a2.inner_product((1, 0), (1, 0, 0))
 
@@ -138,11 +139,11 @@ def test_simple_reflection_permutes_roots():
 
 
 def test_rho_data_and_affine_labels():
-    expected_w0 = {
-        "A1": 1, "A2": 4, "A3": 10, "B3": 22, "C3": 22, "D4": 28,
-        "E6": 156, "E7": 399, "E8": 1240, "F4": 110, "G2": 16,
-    }
-    for label, val in expected_w0.items():
+    for label in W0_CLASSICAL:
+        system = root_system(label)
+        want = W0_CLOSED_FORMS[system.label.family](system.rank)
+        assert 2 * sum(system.rho_coords) == want
+    for label, val in W0_EXCEPTIONAL.items():
         system = root_system(label)
         assert 2 * sum(system.rho_coords) == val
     for label in ALL_TYPES:

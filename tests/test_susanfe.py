@@ -1,6 +1,7 @@
 import pytest
 
 from atomic.errors import PreconditionViolation, UnsupportedType
+from atomic.fixtures import W0_CLOSED_FORMS
 from atomic.rootdata import classical_root, root_system
 from atomic.atomiclen import atomic_length, image_set
 from atomic.susanfe import (
@@ -167,12 +168,7 @@ def test_induction_matches_direct_image(label):
 
 def test_induction_step_arithmetic():
     # b_n + K_{n+1} reproduces b_{n+1} (off by one in type D)
-    closed = {
-        "A": lambda n: n * (n + 1) * (n + 2) // 6,
-        "B": lambda n: n * (n + 1) * (4 * n - 1) // 6,
-        "C": lambda n: n * (n + 1) * (4 * n - 1) // 6,
-        "D": lambda n: n * (n - 1) * (2 * n - 1) // 3,
-    }
+    closed = W0_CLOSED_FORMS
     for fam, ranks in (("A", (4, 5, 6)), ("B", (5, 6)), ("C", (5, 6)), ("D", (6, 7))):
         for n in ranks:
             system = root_system(f"{fam}{n}")

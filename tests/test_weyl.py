@@ -3,6 +3,7 @@ import random
 import pytest
 
 from atomic.errors import NotAReflection, NotReduced, SystemMismatch
+from atomic.linalg import solve_columns
 from atomic.rootdata import classical_root, root_system
 from atomic import weyl
 from atomic.weyl import (
@@ -194,7 +195,7 @@ def test_subgroup_root_coordinates_nonnegative():
     a3 = root_system("A3")
     sub = ReflectionSubgroup(a3, [evaluate(a3, (1, 2, 1)), evaluate(a3, (3,))])
     for a in sub.phi_plus:
-        coords = sub._delta_coords[a]
+        coords = solve_columns(sub.delta, a)
         assert all(c >= 0 and c.denominator == 1 for c in coords)
 
 
