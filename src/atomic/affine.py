@@ -36,7 +36,14 @@ from .errors import (
 )
 from .linalg import mat_inv, mat_vec
 from .rootdata import RootSystem
-from .weyl import WeylElement, identity_element, root_reflection, simple_reflection
+from .weyl import (
+    WeylElement,
+    enumerate_group,
+    identity_element,
+    orbit_depths,
+    root_reflection,
+    simple_reflection,
+)
 
 PROBE_CAP = 2**22
 
@@ -414,33 +421,23 @@ def affine_decomposition_check(w: AffineElement, lam: AffineWeight) -> bool:
     return two_d * lam.den * affine_atomic_length(w, lam) == rhs
 
 
-def orbit_depth_histogram(system: RootSystem, lam: AffineWeight, max_depth: int):
-    """depth -> weight count over the affine orbit of lam, up to max_depth.
+def affine_cartan(system: RootSystem):
+    """The untwisted affine Cartan matrix, node 0 first: alpha_0 = delta - theta
+    gives a_0j = -sum_i comark_i a_ij and a_i0 = -sum_k a_ik theta_k."""
+    cartan, theta = system.cartan, system.highest_root
+    row0 = tuple(-sum(map(mul, system.comarks[1:], col)) for col in zip(*cartan))
+    return ((2,) + row0,) + tuple((-sum(map(mul, row, theta)),) + row for row in cartan)
 
-    Same walk as the finite reference route `atomiclen._orbit_depths`:
-    follow mu -> s_i(mu) only when <mu, alpha_i^vee> > 0 (now including
-    i = 0), incrementing the depth by the pairing; <alpha_i, rho^vee> = 1 for
-    every node makes the increment exact.
-    Only weights within max_depth are expanded, which keeps the infinite
-    affine orbit finite.
+
+def orbit_depth_histogram(system: RootSystem, lam: AffineWeight, max_depth: int):
+    """depth -> weight count over the affine orbit of lam, up to max_depth:
+    `weyl.orbit_depths` on the affine Cartan matrix and (m_0, m_1, ..., m_n).
+    At positive level these coordinates fix an orbit weight (the invariant
+    norm fixes its delta coefficient), and max_depth keeps the orbit finite.
     """
     _require_affine(system)
     lam.require_dominant_integral()
-    start = (lam.finite, lam.delta_coeff)
-    seen = {start}
-    stack = [(lam, 0)]
-    histogram: dict[int, int] = {}
-    while stack:
-        mu, depth = stack.pop()
-        histogram[depth] = histogram.get(depth, 0) + 1
-        for i, p in enumerate((mu.m0,) + mu.fund):
-            if p > 0 and depth + p <= max_depth:
-                nxt = weight_reflect(mu, i)
-                key = (nxt.finite, nxt.delta_coeff)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append((nxt, int(depth + p)))
-    return histogram
+    return orbit_depths(affine_cartan(system), (lam.m0,) + lam.fund, max_depth)
 
 
 # -- translation lattice and image probe ------------------------------------
@@ -585,8 +582,6 @@ def affine_image_probe(
             values.add(level_one_atomic_length(system, beta))
             searched += 1
     else:
-        from .weyl import enumerate_group
-
         # L = L_lbar(wbar) + level L_Lambda0(beta) + h^vee (lbar | wbar^{-1} beta)
         # in units of 1/(2 D den).  Per finite element keep the scaled finite
         # term and the integer row r with r . beta = 2 h^vee lnum^T G wbar^{-1} beta.

@@ -6,9 +6,8 @@ is computed without visiting the orbit: a memoised recursion over standard
 parabolic subgroups peels off one node at a time, W_J = W^{J'} . W_{J'},
 and adds shifted copies of the generating function of W_{J'}.  Its cost
 follows the number of memo states (2,264 for E7 rho, 26,526 for E8 rho),
-not the orbit size (2.9M and 697M).  The breadth-first walk over the orbit,
-`_orbit_depths`, is kept as the reference route that the tests compare
-against.
+not the orbit size (2.9M and 697M).  The tests compare it with the walk
+over the orbit, `weyl.orbit_depths`, which visits every weight once.
 """
 
 from __future__ import annotations
@@ -123,56 +122,6 @@ class ImageReport:
             "missing": list(self.missing),
             "orbit_size": self.orbit_size,
         }
-
-
-def _orbit_depths(system: RootSystem, lam: Weight, cap):
-    """Depth histogram over the orbit W.lambda, by packed-integer BFS.
-
-    The reference route for `_parabolic_histogram`: the tests compare the
-    two, and nothing else calls this walk.
-    """
-    n = system.rank
-    start = tuple(int(c) for c in lam.fund)
-    # Every orbit weight has coordinates <lambda, beta^vee> for roots beta,
-    # which bounds the field width needed for packing.
-    bound = 1
-    for beta in system.positive_roots:
-        bound = max(bound, abs(int(system.coroot_pairing(lam.root, beta))))
-    width = (2 * bound + 1).bit_length() + 1
-    mask = (1 << width) - 1
-    offset = bound
-
-    shifts = [i * width for i in range(n)]
-    # Applying s_i subtracts c_i times column i of the Cartan matrix; on the
-    # packed form that is one integer subtraction as long as every field
-    # stays in range, which the bound guarantees.
-    column_keys = [
-        sum(system.cartan[j][i] << shifts[j] for j in range(n)) for i in range(n)
-    ]
-
-    def pack(coords):
-        acc = 0
-        for i in range(n):
-            acc |= (coords[i] + offset) << shifts[i]
-        return acc
-
-    start_code = pack(start)
-    seen = {start_code}
-    stack = [(start_code, 0)]
-    histogram: dict[int, int] = {}
-    while stack:
-        code, depth = stack.pop()
-        histogram[depth] = histogram.get(depth, 0) + 1
-        for i in range(n):
-            c = ((code >> shifts[i]) & mask) - offset
-            if c > 0:
-                nxt = code - c * column_keys[i]
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitTooLarge(f"orbit exceeds cap {cap}")
-                    seen.add(nxt)
-                    stack.append((nxt, depth + c))
-    return histogram
 
 
 def _unpack(packed: int, width: int) -> dict[int, int]:

@@ -26,6 +26,9 @@ from .errors import (
 )
 from .rootdata import root_system
 
+# The listing names every missing size in 0..--max, whatever the walk visits.
+CORES_MAX_CAP = 100_000
+
 
 def _parse_weight(text: str):
     try:
@@ -154,6 +157,8 @@ def cmd_affine(args):
 
 
 def cmd_cores(args):
+    if args.max > CORES_MAX_CAP:
+        raise SizeTooLarge(f"--max {args.max} is above the cap {CORES_MAX_CAP}")
     if args.count_only:
         sizes = cores.core_sizes(args.n, args.max)
     else:
@@ -266,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="CSV of permutation statistics")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("verify", help="run the pinned fixture suite")

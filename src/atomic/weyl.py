@@ -13,14 +13,16 @@ never through words.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from functools import lru_cache
 from operator import add, mul
 
 from .errors import (
     IndexOutOfRange,
+    NegativeBound,
     NotAReflection,
     NotReduced,
+    OrbitTooLarge,
     SubgroupTooLarge,
     SystemMismatch,
 )
@@ -28,6 +30,7 @@ from .linalg import mat_inv
 from .rootdata import RootSystem, Weight
 
 GROUP_ENUMERATION_CAP = 10**7
+ORBIT_WALK_CAP = 2**23
 
 Word = tuple[int, ...]
 
@@ -397,6 +400,51 @@ def dominant_orbit_size(system: RootSystem, fund_coords) -> int:
     """|W . lambda| = |W| / |W_I| with I the zero nodes of a dominant weight."""
     zero = [i + 1 for i, c in enumerate(fund_coords) if c == 0]
     return group_order(system) // parabolic_order(system, zero)
+
+
+def orbit_depths(cartan, start, max_depth):
+    """{depth: count} over the orbit of a dominant weight, up to max_depth.
+
+    `cartan[j][i]` is <alpha_i, alpha_j^vee> (finite, or untwisted affine
+    with node 0 first) and `start` holds the fundamental coordinates.  The
+    depth <lambda - mu, rho^vee> grows by c_i on each step mu -> s_i(mu)
+    with c_i = <mu, alpha_i^vee> > 0, and a weight's coordinates fix it, so
+    a bucket of one depth is complete when the walk reaches it: it is
+    expanded once and dropped, and no seen set is kept (the Tits cone walk;
+    Humphreys 1.10, Kac ch. 6).  Coordinates are packed as c + offset in
+    fields of one integer and s_i subtracts c_i times packed column i.
+    Every |a_ij| <= 4, so |c| <= max(start) + 4 max_depth <= offset, and
+    c > 0 exactly when the top bit of its field is set.  More than
+    ORBIT_WALK_CAP weights raise OrbitTooLarge.
+    """
+    if max_depth < 0:
+        raise NegativeBound(f"depth bound {max_depth} must be nonnegative")
+    width = (max(start) + 4 * max_depth).bit_length() + 1
+    offset, mask = (1 << width - 1) - 1, (1 << width) - 1
+    shifts = range(0, len(start) * width, width)
+    nodes = tuple(
+        (1 << s + width - 1, s, sum(cartan[j][i] << t for j, t in enumerate(shifts)))
+        for i, s in enumerate(shifts)
+    )
+    buckets = defaultdict(set)
+    buckets[0].add(sum((c + offset) << s for c, s in zip(start, shifts)))
+    histogram = {}
+    states = 0
+    while buckets:
+        depth = min(buckets)
+        bucket = buckets.pop(depth)
+        histogram[depth] = len(bucket)
+        states += len(bucket)
+        if states > ORBIT_WALK_CAP:
+            raise OrbitTooLarge(f"orbit has more than {ORBIT_WALK_CAP} weights")
+        room = max_depth - depth
+        for code in bucket:
+            for top_bit, s, column in nodes:
+                if code & top_bit:
+                    c = ((code >> s) & mask) - offset
+                    if c <= room:
+                        buckets[depth + c].add(code - c * column)
+    return histogram
 
 
 def reduced_words(w: WeylElement):

@@ -68,17 +68,11 @@ def test_criterion_03_surjectivity_exhaustive():
 
 
 def test_criterion_04_induction_agrees():
-    step_forms = {
-        "A": lambda n: n * (n + 1) // 2,
-        "B": lambda n: 2 * n * n - n,
-        "C": lambda n: 2 * n * n - n,
-        "D": lambda n: 2 * n * n - 4 * n + 1,
-    }
     labels = ["A3", "A4", "A5", "B3", "B4", "C3", "C4", "D4", "D5"]
     for label in labels:
         system = root_system(label)
         sp = susanfe.special_reflection(system)
-        assert sp.constant == step_forms[label[0]](system.rank)
+        assert sp.constant == fixtures.STEP_CONSTANTS[label[0]](system.rank)
         rec = susanfe.surjectivity_susanfe_induction(system)
         direct = atomiclen.image_set(system, system.rho)
         assert rec.values == direct.values

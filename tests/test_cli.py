@@ -73,7 +73,7 @@ def test_susanfe_list(capsys):
 
 
 def test_entropy_csv(capsys):
-    code, out, _ = run_cli(capsys, "entropy", "--n", "3", "--stats")
+    code, out, _ = run_cli(capsys, "entropy", "--n", "3")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 6
@@ -151,3 +151,20 @@ def test_bad_input_exits_as_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err and "cap" not in err
+
+
+def test_entropy_stats_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["entropy", "--n", "2", "--stats"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("bound, code", [(100001, 3), (100000, 0)])
+def test_cores_max_cap(capsys, bound, code):
+    got, out, err = run_cli(capsys, "cores", "--n", "1", "--max", str(bound), "--count-only")
+    assert got == code
+    if code:
+        assert out == "" and "100001" in err and "100000" in err
+    else:
+        last = out.splitlines()[-1]
+        assert last.startswith("missing sizes: [2, 4, 5, ") and last.endswith(", 100000]")

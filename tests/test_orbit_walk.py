@@ -1,0 +1,80 @@
+"""The graded orbit walk `weyl.orbit_depths` on affine Cartan matrices.
+
+`affine.orbit_depth_histogram` runs the walk on packed coordinates
+(m_0, m_1, ..., m_n).  The reference below walks `AffineWeight` values
+through `affine.weight_reflect` instead, keyed by finite part and delta
+coefficient, with a set of every weight seen.  The finite walk is compared
+with the parabolic recursion in `test_parabolic.py`.
+"""
+
+import pytest
+
+from atomic import weyl
+from atomic.affine import affine_weight, orbit_depth_histogram, weight_reflect
+from atomic.errors import NegativeBound, OrbitTooLarge
+from atomic.rootdata import root_system
+from atomic.weyl import orbit_depths
+
+
+def reference_depths(lam, max_depth):
+    seen = {(lam.finite, lam.delta_coeff)}
+    stack = [(lam, 0)]
+    histogram = {}
+    while stack:
+        mu, depth = stack.pop()
+        histogram[depth] = histogram.get(depth, 0) + 1
+        for i, p in enumerate((mu.m0,) + mu.fund):
+            if 0 < p <= max_depth - depth:
+                nxt = weight_reflect(mu, i)
+                key = (nxt.finite, nxt.delta_coeff)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((nxt, depth + int(p)))
+    return histogram
+
+
+# (type, max depth): Lambda_0, Lambda_1 and Lambda_0 + Lambda_1 are walked
+# on each, to a depth that keeps the reference walk under 2,000 weights.
+AFFINE_CASES = (
+    ("A1~", 400), ("A2~", 120), ("A3~", 60), ("C2~", 120), ("G2~", 120),
+    ("B3~", 50), ("D4~", 40), ("F4~", 40), ("E6~", 30),
+)
+
+
+@pytest.mark.parametrize("label, max_depth", AFFINE_CASES)
+def test_affine_walk_matches_reference(label, max_depth):
+    system = root_system(label)
+    n = system.rank
+    for head in ((1, 0), (0, 1), (1, 1)):
+        lam = affine_weight(system, head + (0,) * (n - 1))
+        hist = orbit_depth_histogram(system, lam, max_depth)
+        assert hist == reference_depths(lam, max_depth), (label, head)
+        assert max(hist) <= max_depth
+
+
+def test_packing_stays_exact_in_a1_affine():
+    # |a_01| = 2: the coordinates of A1~ grow fastest with the depth
+    a1 = root_system("A1~")
+    for coords in ((1, 0), (0, 3), (2, 1)):
+        lam = affine_weight(a1, coords)
+        assert orbit_depth_histogram(a1, lam, 200) == reference_depths(lam, 200)
+
+
+def test_cap_boundary(monkeypatch):
+    a2 = root_system("A2")
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 6)
+    assert orbit_depths(a2.cartan, (1, 1), 6) == {0: 1, 1: 2, 3: 2, 4: 1}
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 5)
+    with pytest.raises(OrbitTooLarge, match="more than 5 weights"):
+        orbit_depths(a2.cartan, (1, 1), 6)
+
+    # the 2-cores of size <= 10 have sizes 0, 1, 3, 6, 10
+    a1 = root_system("A1~")
+    lam = affine_weight(a1, (1, 0))
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 5)
+    assert orbit_depth_histogram(a1, lam, 10) == {0: 1, 1: 1, 3: 1, 6: 1, 10: 1}
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 4)
+    with pytest.raises(OrbitTooLarge):
+        orbit_depth_histogram(a1, lam, 10)
+    with pytest.raises(NegativeBound):
+        orbit_depths(a2.cartan, (1, 1), -1)

@@ -1,7 +1,7 @@
 """The parabolic recursion behind `image_set` against independent routes.
 
 `_parabolic_histogram` never visits the orbit W.lambda.  Here it is compared
-with the orbit walk `_orbit_depths` (every weight visited once), with the
+with the orbit walk `weyl.orbit_depths` (every weight visited once), with the
 q-Weyl dimension formula on minuscule weights (computed below by integer
 polynomial division from the Cartan matrix alone), and with the paper's E8
 claim.  Its stabiliser-division check is shown to fire under `python -O`.
@@ -19,17 +19,12 @@ from hypothesis import strategies as st
 
 import atomic
 from atomic import atomiclen
-from atomic.atomiclen import (
-    _orbit_depths,
-    _parabolic_histogram,
-    image_set,
-    minuscule_weights,
-)
+from atomic.atomiclen import _parabolic_histogram, image_set, minuscule_weights
 from atomic.errors import InvariantViolation
 from atomic.rootdata import root_system
+from atomic.weyl import orbit_depths
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-WALK_CAP = 2**23
 
 RHO_TYPES = (
     "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6", "C3", "C4", "C5",
@@ -45,9 +40,19 @@ MINUSCULE_TYPES = (
 )
 
 
+def top_value(system, lam):
+    """2<lambda, rho^vee>, the value at w0."""
+    return int(2 * sum(system.root_coords(lam.fund)))
+
+
+def walk(system, lam):
+    fund = tuple(int(c) for c in lam.fund)
+    return orbit_depths(system.cartan, fund, top_value(system, lam))
+
+
 def check_shape(system, lam, hist):
     """max = 2<lambda, rho^vee> and h[d] = h[max - d] (the map w -> w0 w)."""
-    top = 2 * sum(system.root_coords(lam.fund))
+    top = top_value(system, lam)
     assert max(hist) == top
     assert all(hist[top - d] == count for d, count in hist.items())
 
@@ -56,7 +61,7 @@ def check_shape(system, lam, hist):
 def test_rho_agrees_with_orbit_walk(spec):
     system = root_system(spec)
     hist = _parabolic_histogram(system, system.rho)
-    assert hist == _orbit_depths(system, system.rho, WALK_CAP)
+    assert hist == walk(system, system.rho)
     check_shape(system, system.rho, hist)
 
 
@@ -72,7 +77,7 @@ def dominant_weights(draw):
 def test_drawn_weights_agree_with_orbit_walk(case):
     system, lam = case
     hist = _parabolic_histogram(system, lam)
-    assert hist == _orbit_depths(system, lam, WALK_CAP)
+    assert hist == walk(system, lam)
     check_shape(system, lam, hist)
 
 

@@ -13,7 +13,6 @@ from atomic.perms import (
     invsum,
     longest_permutation,
     ninvsum,
-    non_inversions,
     permutohedron_distance_sq,
     to_weyl,
     word_from_one_line,

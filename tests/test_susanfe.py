@@ -1,9 +1,9 @@
 import pytest
 
 from atomic.errors import PreconditionViolation, UnsupportedType
-from atomic.fixtures import W0_CLOSED_FORMS
+from atomic.fixtures import STEP_CONSTANTS, W0_CLOSED_FORMS
 from atomic.rootdata import classical_root, root_system
-from atomic.atomiclen import atomic_length, image_set
+from atomic.atomiclen import image_set
 from atomic.susanfe import (
     list_susanfe_reflections,
     restricted_atomic_length,
@@ -70,10 +70,10 @@ def test_restricted_atomic_length_degenerate():
 @pytest.mark.parametrize(
     "label,expected",
     [
-        ("A2", 3), ("A3", 6), ("A4", 10), ("A5", 15),      # binom(n+1, 2)
-        ("B3", 15), ("B4", 28), ("B5", 45),                # 2n^2 - n
-        ("C3", 15), ("C4", 28), ("C5", 45),
-        ("D4", 17), ("D5", 31), ("D6", 49),                # 2n^2 - 4n + 1
+        (f"{fam}{n}", STEP_CONSTANTS[fam](n))
+        for fam, ranks in (("A", (2, 3, 4, 5)), ("B", (3, 4, 5)), ("C", (3, 4, 5)),
+                           ("D", (4, 5, 6)))
+        for n in ranks
     ],
 )
 def test_special_reflection_constants(label, expected):
@@ -116,7 +116,7 @@ def test_type_a_restricted_length_values():
         system = root_system(f"A{n}")
         t = root_reflection(system, system.highest_root)
         sub = standard_parabolic(system, range(2, n + 1))
-        assert restricted_atomic_length(t, sub) == n * (n + 1) // 2
+        assert restricted_atomic_length(t, sub) == STEP_CONSTANTS["A"](n)
 
 
 def test_type_d_restricted_length_values():
@@ -124,7 +124,7 @@ def test_type_d_restricted_length_values():
         system = root_system(f"D{n}")
         t = root_reflection(system, system.highest_root)
         sub = standard_parabolic(system, range(2, n + 1))
-        assert restricted_atomic_length(t, sub) == 2 * n * n - 4 * n + 1
+        assert restricted_atomic_length(t, sub) == STEP_CONSTANTS["D"](n)
 
 
 def test_decomposition_check_identity_case():

@@ -5,7 +5,6 @@ import pytest
 from atomic.errors import NotAReflection, NotReduced, SystemMismatch
 from atomic.linalg import solve_columns
 from atomic.rootdata import classical_root, root_system
-from atomic import weyl
 from atomic.weyl import (
     ReflectionSubgroup,
     a_decomposition,
