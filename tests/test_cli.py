@@ -161,10 +161,13 @@ def test_entropy_stats_flag_is_gone(capsys):
 
 @pytest.mark.parametrize("bound, code", [(100001, 3), (100000, 0)])
 def test_cores_max_cap(capsys, bound, code):
-    got, out, err = run_cli(capsys, "cores", "--n", "1", "--max", str(bound), "--count-only")
+    got, out, err = run_cli(
+        capsys, "cores", "--n", "1", "--max", str(bound), "--count-only"
+    )
     assert got == code
     if code:
         assert out == "" and "100001" in err and "100000" in err
     else:
         last = out.splitlines()[-1]
-        assert last.startswith("missing sizes: [2, 4, 5, ") and last.endswith(", 100000]")
+        assert last.startswith("missing sizes: [2, 4, 5, ")
+        assert last.endswith(", 100000]")
