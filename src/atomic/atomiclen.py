@@ -43,7 +43,7 @@ def lambda_atomic_length(w: WeylElement, lam: Weight):
     """
     lam.require_dominant_integral()
     system = w.system
-    scaled = system.scaled_root_coords(tuple(int(c) for c in lam.fund))
+    scaled = system.scaled_root_coords(lam.fund)
     value, rem = divmod(sum(scaled) - sum(w.act_root(scaled)), system.weight_scale)
     if rem or value < 0:
         raise InvariantViolation(
@@ -235,11 +235,11 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
         memo[key] = (lo, acc)
         return lo, acc
 
-    fund = tuple(int(c) for c in lam.fund)
-    lo, packed = generating(tuple(range(n)), fund, (1,) * n)
+    lo, packed = generating(tuple(range(n)), lam.fund, (1,) * n)
     if lo != 0:
         raise InvariantViolation(f"lowest value {lo} of <lambda - w(lambda), rho^vee> is not 0")
-    stabiliser = parabolic_order(system, [i + 1 for i, c in enumerate(fund) if c == 0])
+    zero = [i + 1 for i, c in enumerate(lam.fund) if c == 0]
+    stabiliser = parabolic_order(system, zero)
     histogram: dict[int, int] = {}
     for depth, count in _unpack(packed, width).items():
         histogram[depth], rem = divmod(count, stabiliser)
@@ -307,29 +307,16 @@ def is_ideal(system: RootSystem, lam: Weight, cap=ORBIT_CAP) -> IdealReport:
     return IdealReport(False, "gaps in value range", report)
 
 
-_MINUSCULE_NODES = {
-    "A": lambda n: list(range(1, n + 1)),
-    "B": lambda n: [n],
-    "C": lambda n: [1],
-    "D": lambda n: [1, n - 1, n],
-    "E": lambda n: {6: [1, 6], 7: [7], 8: []}[n],
-    "F": lambda n: [],
-    "G": lambda n: [],
-}
-
-
 def minuscule_weights(system: RootSystem) -> tuple[Weight, ...]:
-    """The minuscule fundamental weights, checked against the defining pairing."""
-    nodes = _MINUSCULE_NODES[system.label.family](system.rank)
-    out = []
-    for i in nodes:
-        wt = system.fundamental_weight(i)
-        if any(
-            abs(system.coroot_pairing(wt.root, beta)) > 1
-            for beta in system.positive_roots
-        ):
-            raise InvariantViolation(
-                f"omega_{i} fails the minuscule pairing test in {system.label}"
-            )
-        out.append(wt)
-    return tuple(out)
+    """The fundamental weights omega_i with <omega_i, beta^vee> <= 1 for every
+    positive root beta.  That pairing is b_i (alpha_i|alpha_i) / (beta|beta)
+    for beta = sum b_j alpha_j, so the test is b_i G_ii <= beta^T G beta in
+    the integer Gram matrix."""
+    norms = [
+        (beta, system.scaled_inner_product(beta, beta)) for beta in system.positive_roots
+    ]
+    return tuple(
+        system.fundamental_weight(i + 1)
+        for i in range(system.rank)
+        if all(beta[i] * system.gram[i][i] <= norm for beta, norm in norms)
+    )

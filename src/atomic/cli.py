@@ -28,6 +28,8 @@ from .rootdata import root_system
 
 # The listing names every missing size in 0..--max, whatever the walk visits.
 CORES_MAX_CAP = 100_000
+# entropy writes n! rows: 3,628,800 at the cap, 39.9M at n = 11.
+ENTROPY_N_CAP = 10
 
 
 def _parse_weight(text: str):
@@ -35,6 +37,13 @@ def _parse_weight(text: str):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad weight coordinates {text!r}")
+
+
+def _positive_int(text: str):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return n
 
 
 def _parse_word(text: str):
@@ -67,7 +76,7 @@ def cmd_image(args):
         args,
         payload,
         [
-            f"type {system.label}, weight {tuple(int(c) for c in lam.fund)}",
+            f"type {system.label}, weight {lam.fund}",
             f"orbit size {report.orbit_size}",
             f"max {report.max_value}",
             f"values {list(report.values)}",
@@ -184,6 +193,8 @@ def cmd_cores(args):
 
 
 def cmd_entropy(args):
+    if args.n > ENTROPY_N_CAP:
+        raise SizeTooLarge(f"--n {args.n} is above the cap {ENTROPY_N_CAP}")
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["one_line", "length", "invsum", "ninvsum", "entropy", "cosine"]
@@ -270,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("entropy", help="CSV of permutation statistics")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("verify", help="run the pinned fixture suite")

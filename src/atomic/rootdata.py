@@ -130,6 +130,11 @@ class RootSystem:
         self.positive_roots = self._generate_positive_roots()
         self._positive_set = frozenset(self.positive_roots)
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
+        # (support bitmask, height) per positive root, read by weyl.parabolic_order
+        self.root_supports = tuple(
+            (sum(1 << i for i, c in enumerate(r) if c), sum(r))
+            for r in self.positive_roots
+        )
         self.highest_root = self.positive_roots[-1]
 
         self.symmetrizer = self._symmetrizer()
@@ -265,16 +270,16 @@ class RootSystem:
             raise DimensionMismatch(
                 f"expected {self.rank} fundamental coordinates, got {len(fund)}"
             )
-        return Weight(self, tuple(Fraction(c) for c in fund))
+        return Weight(self, fund)
 
     def fundamental_weight(self, i: int) -> "Weight":
         if not 1 <= i <= self.rank:
             raise IndexOutOfRange(f"simple index {i} outside 1..{self.rank}")
-        return Weight(self, tuple(Fraction(int(j == i - 1)) for j in range(self.rank)))
+        return Weight(self, tuple(int(j == i - 1) for j in range(self.rank)))
 
     @property
     def rho(self) -> "Weight":
-        return Weight(self, (Fraction(1),) * self.rank)
+        return Weight(self, (1,) * self.rank)
 
     def __repr__(self):
         return f"RootSystem({self.label})"
@@ -294,10 +299,20 @@ def _as_int(x) -> int:
 
 @dataclass(frozen=True)
 class Weight:
-    """A vector given by its fundamental-weight coordinates."""
+    """An integral weight given by its fundamental-weight coordinates.
+
+    The coordinates are converted to `int` once, here; a non-integral one
+    raises NotDominant.
+    """
 
     system: RootSystem
-    fund: tuple[Fraction, ...]
+    fund: tuple[int, ...]
+
+    def __post_init__(self):
+        fund = tuple(Fraction(c) for c in self.fund)
+        if any(c.denominator != 1 for c in fund):
+            raise NotDominant(f"weight {self.fund} is not dominant integral")
+        object.__setattr__(self, "fund", tuple(c.numerator for c in fund))
 
     @property
     def root(self) -> tuple[Fraction, ...]:
@@ -306,11 +321,8 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.fund)
 
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.fund)
-
     def require_dominant_integral(self):
-        if not self.is_integral() or not self.is_dominant():
+        if not self.is_dominant():
             raise NotDominant(f"weight {self.fund} is not dominant integral")
 
     def height(self) -> Fraction:
@@ -325,7 +337,7 @@ class Weight:
         return Weight(self.system, tuple(a - b for a, b in zip(self.fund, other.fund)))
 
     def __rmul__(self, k) -> "Weight":
-        return Weight(self.system, tuple(Fraction(k) * c for c in self.fund))
+        return Weight(self.system, tuple(k * c for c in self.fund))
 
     def __eq__(self, other):
         return (

@@ -19,6 +19,7 @@ from operator import add, mul
 
 from .errors import (
     IndexOutOfRange,
+    InvariantViolation,
     NegativeBound,
     NotAReflection,
     NotReduced,
@@ -161,8 +162,11 @@ class WeylElement:
     def act_weight(self, wt: Weight) -> Weight:
         if wt.system.label != self.system.label:
             raise SystemMismatch(f"{wt.system.label} vs {self.system.label}")
-        image = self.act_root(wt.root)
-        return Weight(self.system, self.system.fund_coords(image))
+        # on S * lambda (S = weight_scale) in simple-root coordinates, all
+        # integers; the image's fundamental coordinates are S times integers
+        system = self.system
+        image = system.fund_coords(self.act_root(system.scaled_root_coords(wt.fund)))
+        return Weight(system, tuple(c // system.weight_scale for c in image))
 
     # -- inversion combinatorics -------------------------------------------
 
@@ -323,77 +327,31 @@ def enumerate_group(system: RootSystem, generators=None, cap=GROUP_ENUMERATION_C
     return seen
 
 
-def _component_group_order(system: RootSystem, nodes) -> int:
-    """Order of the Weyl group of one connected induced subdiagram."""
-    from math import factorial
-
-    n = len(nodes)
-    pairs = [
-        (i, j)
-        for i in nodes
-        for j in nodes
-        if i < j and system.cartan[i][j] != 0
-    ]
-    bond = {
-        (i, j): system.cartan[i][j] * system.cartan[j][i] for (i, j) in pairs
-    }
-    if any(b == 3 for b in bond.values()):
-        return 12  # G2
-    degree = {i: sum(1 for p in pairs if i in p) for i in nodes}
-    doubles = [p for p, b in bond.items() if b == 2]
-    if doubles:
-        (i, j) = doubles[0]
-        if n == 4 and degree[i] == 2 and degree[j] == 2:
-            return 1152  # F4
-        return 2**n * factorial(n)  # B/C chain
-    if not nodes:
-        return 1
-    if all(d <= 2 for d in degree.values()):
-        return factorial(n + 1)  # type A chain
-    branch = next(i for i in nodes if degree[i] == 3)
-    # arm lengths away from the branch node
-    arms = []
-    for start in (j for j in nodes if (min(j, branch), max(j, branch)) in bond):
-        length, prev, cur = 1, branch, start
-        while True:
-            nxt = [
-                k
-                for k in nodes
-                if k != prev and (min(k, cur), max(k, cur)) in bond
-            ]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    if sorted(arms)[:2] == [1, 1]:
-        return 2 ** (n - 1) * factorial(n)  # type D
-    return {6: 51840, 7: 2903040, 8: 696729600}[n]  # type E
-
-
 def group_order(system: RootSystem) -> int:
-    """|W|, from the classification of the (connected) diagram."""
-    return _component_group_order(system, list(range(system.rank)))
+    """|W|, by Macdonald's product over the positive roots."""
+    return parabolic_order(system, range(1, system.rank + 1))
 
 
 def parabolic_order(system: RootSystem, indices) -> int:
-    """|W_I| for a set of 1-based simple indices, by component."""
-    nodes = sorted(i - 1 for i in indices)
-    remaining = set(nodes)
-    total = 1
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            for j in list(remaining):
-                if system.cartan[i][j] != 0:
-                    remaining.discard(j)
-                    comp.add(j)
-                    stack.append(j)
-        total *= _component_group_order(system, sorted(comp))
-    return total
+    """|W_J| for a set J of 1-based simple indices.
+
+    Macdonald's identity sum_w q^l(w) = prod_{alpha > 0} (1 - q^(ht alpha + 1))
+    / (1 - q^ht alpha) (Math. Ann. 199, 1972) gives |W_J| = prod (ht alpha
+    + 1) / ht alpha at q = 1, over the positive roots supported on J, which
+    are the positive roots of W_J.
+    """
+    mask = 0
+    for i in indices:
+        mask |= 1 << i - 1
+    num = den = 1
+    for support, height in system.root_supports:
+        if support | mask == mask:
+            num *= height + 1
+            den *= height
+    order, rem = divmod(num, den)
+    if rem:
+        raise InvariantViolation(f"Macdonald's product on nodes {mask:#b} is {num}/{den}")
+    return order
 
 
 def dominant_orbit_size(system: RootSystem, fund_coords) -> int:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from atomic import fixtures
+from atomic import cli, fixtures
 from atomic.cli import main
 from test_acceptance import assert_fixture_group
 
@@ -171,3 +171,30 @@ def test_cores_max_cap(capsys, bound, code):
         last = out.splitlines()[-1]
         assert last.startswith("missing sizes: [2, 4, 5, ")
         assert last.endswith(", 100000]")
+
+
+def test_not_dominant_message_prints_integers(capsys):
+    code, out, err = run_cli(capsys, "image", "--type", "A3", "--weight", "1,-1,0")
+    assert code == 2 and out == ""
+    assert err == "error: weight (1, -1, 0) is not dominant integral\n"
+
+
+@pytest.mark.parametrize("n", ["-2", "0"])
+def test_entropy_n_below_one_is_usage_error(capsys, n):
+    with pytest.raises(SystemExit) as err:
+        main(["entropy", "--n", n])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_entropy_n_cap(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "entropy", "--n", str(cli.ENTROPY_N_CAP + 1))
+    assert code == 3 and out == ""
+    assert "--n 11 is above the cap 10" in err
+    # the cap itself is allowed: shown at a lowered cap, as 10! rows take minutes
+    monkeypatch.setattr(cli, "ENTROPY_N_CAP", 4)
+    code, out, _ = run_cli(capsys, "entropy", "--n", "4")
+    assert code == 0 and len(out.splitlines()) == 1 + 24
+    assert run_cli(capsys, "entropy", "--n", "5")[0] == 3
+    code, out, _ = run_cli(capsys, "entropy", "--n", "1")
+    assert code == 0 and out.splitlines()[1:] == ["1,0,0,0,0,1"]

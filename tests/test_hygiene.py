@@ -1,0 +1,85 @@
+"""Source hygiene: no `assert` in the package, no unused imports, and the
+fixture suite passes under `python -O`.
+
+The package checks its invariants by raising `InvariantViolation`, because
+`python -O` strips `assert` statements; these tests keep it that way.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import atomic
+
+PACKAGE = Path(atomic.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
+# __init__.py imports names to re-export them
+SCANNED_FILES = [p for p in PACKAGE_FILES if p.name != "__init__.py"] + sorted(
+    TESTS.glob("*.py")
+)
+
+
+def _ids(paths):
+    return [f"{p.parent.name}/{p.name}" for p in paths]
+
+
+def unused_imports(tree):
+    """Names bound by an import statement and never read in the module."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names in quoted annotations such as -> "Weight"
+    read |= {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=_ids(PACKAGE_FILES))
+def test_package_has_no_assert(path):
+    tree = ast.parse(path.read_text(), str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SCANNED_FILES, ids=_ids(SCANNED_FILES))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    assert unused_imports(tree) == []
+
+
+def test_unused_import_scan_sees_unread_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\nfrom math import gcd, lcm\n"
+        "def f(x) -> 'Iterable':\n    return lcm(x, 2)\n"
+    )
+    assert unused_imports(tree) == [(2, "os"), (3, "system"), (4, "gcd")]
+
+
+def test_verify_passes_under_optimized_mode():
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""),
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "atomic.cli", "verify"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    *checks, summary = result.stdout.splitlines()
+    assert checks and all(line.startswith("PASS  ") for line in checks)
+    assert summary == f"{len(checks)}/{len(checks)} checks passed"

@@ -22,7 +22,7 @@ from atomic import atomiclen
 from atomic.atomiclen import _parabolic_histogram, image_set, minuscule_weights
 from atomic.errors import InvariantViolation
 from atomic.rootdata import root_system
-from atomic.weyl import orbit_depths
+from atomic.weyl import dominant_orbit_size, orbit_depths
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -46,8 +46,7 @@ def top_value(system, lam):
 
 
 def walk(system, lam):
-    fund = tuple(int(c) for c in lam.fund)
-    return orbit_depths(system.cartan, fund, top_value(system, lam))
+    return orbit_depths(system.cartan, lam.fund, top_value(system, lam))
 
 
 def check_shape(system, lam, hist):
@@ -138,8 +137,28 @@ def test_minuscule_histograms_match_q_weyl_dimension(spec):
     weights = minuscule_weights(system)
     assert weights
     for lam in weights:
-        fund = tuple(int(c) for c in lam.fund)
-        assert _parabolic_histogram(system, lam) == q_weyl_dimension(system.cartan, fund)
+        want = q_weyl_dimension(system.cartan, lam.fund)
+        assert _parabolic_histogram(system, lam) == want
+
+
+ALL_TYPES_TO_RANK_8 = (
+    tuple(f"A{n}" for n in range(1, 9)) + tuple(f"B{n}" for n in range(2, 9))
+    + tuple(f"C{n}" for n in range(2, 9)) + tuple(f"D{n}" for n in range(4, 9))
+    + ("E6", "E7", "E8", "F4", "G2")
+)
+
+
+@pytest.mark.parametrize("spec", ALL_TYPES_TO_RANK_8)
+def test_minuscule_weights_have_one_orbit_of_weights(spec):
+    """omega_i is minuscule exactly when the weights of V(omega_i) form one
+    W-orbit, i.e. when dim V(omega_i) = |W . omega_i|."""
+    system = root_system(spec)
+    minuscule = {lam.fund for lam in minuscule_weights(system)}
+    for i in range(system.rank):
+        fund = tuple(int(j == i) for j in range(system.rank))
+        dim = sum(q_weyl_dimension(system.cartan, fund).values())
+        one_orbit = dim == dominant_orbit_size(system, fund)
+        assert (fund in minuscule) == one_orbit, (spec, i + 1)
 
 
 def test_q_weyl_oracle_counts_dimensions():

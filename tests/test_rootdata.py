@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from atomic.errors import DimensionMismatch, IndexOutOfRange, InvalidType
+from atomic.errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
 from atomic.fixtures import W0_CLASSICAL, W0_CLOSED_FORMS, W0_EXCEPTIONAL
 from atomic.rootdata import (
     TypeLabel,
@@ -178,8 +178,20 @@ def test_weight_coordinates_roundtrip():
         wt = system.weight(*range(1, system.rank + 1))
         back = system.fund_coords(wt.root)
         assert tuple(back) == wt.fund
-        assert wt.is_dominant() and wt.is_integral()
+        assert wt.is_dominant()
         assert not system.weight(-1, *[0] * (system.rank - 1)).is_dominant()
+
+
+def test_weight_coordinates_are_checked_integers():
+    a2 = root_system("A2")
+    for wt in (a2.weight(Fraction(4, 2), 1), a2.rho, a2.fundamental_weight(2)):
+        assert all(type(c) is int for c in wt.fund)
+    assert a2.weight(Fraction(4, 2), -1).fund == (2, -1)
+    assert (Fraction(3) * a2.rho - a2.fundamental_weight(1)).fund == (2, 3)
+    with pytest.raises(NotDominant, match=r"weight \(Fraction\(1, 2\), 0\)"):
+        a2.weight(Fraction(1, 2), 0)
+    with pytest.raises(NotDominant):
+        Fraction(1, 2) * a2.rho
 
 
 def test_systems_are_cached():

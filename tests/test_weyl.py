@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from atomic.errors import NotAReflection, NotReduced, SystemMismatch
+from atomic.errors import InvariantViolation, NotAReflection, NotReduced, SystemMismatch
 from atomic.linalg import solve_columns
 from atomic.rootdata import classical_root, root_system
 from atomic.weyl import (
@@ -10,9 +12,11 @@ from atomic.weyl import (
     a_decomposition,
     enumerate_group,
     evaluate,
+    group_order,
     identity_element,
     inversion_set_from_word,
     longest_element,
+    parabolic_order,
     reduced_words,
     root_reflection,
     simple_reflection,
@@ -298,7 +302,7 @@ def _utopic_count(label):
 
 
 def test_group_orders():
-    from atomic.weyl import dominant_orbit_size, group_order, parabolic_order
+    from atomic.weyl import dominant_orbit_size
 
     expected = {
         "A1": 2, "A4": 120, "B2": 8, "B4": 384, "C3": 48, "D4": 192,
@@ -323,6 +327,49 @@ def test_group_orders():
     assert dominant_orbit_size(a2, (1, 1)) == 6
     assert dominant_orbit_size(a2, (1, 0)) == 3
     assert dominant_orbit_size(a2, (0, 0)) == 1
+
+
+SMALL_RANK_TYPES = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2",
+)
+# Every type through rank 8 except C2, which sympy refuses (its C starts at 3).
+RANK8_TYPES = (
+    tuple(f"A{n}" for n in range(1, 9)) + tuple(f"B{n}" for n in range(2, 9))
+    + tuple(f"C{n}" for n in range(3, 9)) + tuple(f"D{n}" for n in range(4, 9))
+    + ("E6", "E7", "E8", "F4", "G2")
+)
+
+
+@pytest.mark.parametrize("spec", SMALL_RANK_TYPES)
+def test_parabolic_orders_match_enumeration(spec):
+    system = root_system(spec)
+    nodes = range(1, system.rank + 1)
+    for size in range(system.rank + 1):
+        for subset in combinations(nodes, size):
+            gens = [simple_reflection(system, i) for i in subset]
+            assert parabolic_order(system, subset) == len(enumerate_group(system, gens))
+
+
+@pytest.mark.parametrize("spec", RANK8_TYPES)
+def test_group_order_and_cartan_match_sympy(spec):
+    weyl_group = pytest.importorskip("sympy.liealgebras.weyl_group")
+    cartan_module = pytest.importorskip("sympy.liealgebras.cartan_matrix")
+    system = root_system(spec)
+    assert group_order(system) == int(weyl_group.WeylGroup(spec).group_order())
+    if spec == "A1":
+        return  # sympy cannot build the 1 x 1 Cartan matrix
+    theirs = cartan_module.CartanMatrix(spec).tolist()
+    if system.label.family in "BCFG":
+        theirs = [list(col) for col in zip(*theirs)]  # sympy's a_ij is our a_ji
+    assert [list(row) for row in system.cartan] == theirs
+
+
+def test_parabolic_order_rejects_a_fractional_product():
+    fake = SimpleNamespace(root_supports=((0b1, 1), (0b1, 2)))  # 2/1 * 3/2 = 3
+    assert parabolic_order(fake, [1]) == 3
+    fake = SimpleNamespace(root_supports=((0b1, 2),))
+    with pytest.raises(InvariantViolation, match="3/2"):
+        parabolic_order(fake, [1])
 
 
 def test_utopic_counts_type_b():
