@@ -342,6 +342,8 @@ def parabolic_order(system: RootSystem, indices) -> int:
     """
     mask = 0
     for i in indices:
+        if not 1 <= i <= system.rank:
+            raise IndexOutOfRange(f"simple index {i} outside 1..{system.rank}")
         mask |= 1 << i - 1
     num = den = 1
     for support, height in system.root_supports:

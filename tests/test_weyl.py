@@ -4,7 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from atomic.errors import InvariantViolation, NotAReflection, NotReduced, SystemMismatch
+from atomic.errors import (
+    IndexOutOfRange,
+    InvariantViolation,
+    NotAReflection,
+    NotReduced,
+    SystemMismatch,
+)
 from atomic.linalg import solve_columns
 from atomic.rootdata import classical_root, root_system
 from atomic.weyl import (
@@ -364,10 +370,16 @@ def test_group_order_and_cartan_match_sympy(spec):
     assert [list(row) for row in system.cartan] == theirs
 
 
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_parabolic_order_rejects_bad_index(index):
+    with pytest.raises(IndexOutOfRange):
+        parabolic_order(root_system("A2"), [1, index])
+
+
 def test_parabolic_order_rejects_a_fractional_product():
-    fake = SimpleNamespace(root_supports=((0b1, 1), (0b1, 2)))  # 2/1 * 3/2 = 3
+    fake = SimpleNamespace(rank=1, root_supports=((0b1, 1), (0b1, 2)))  # 2 * 3/2 = 3
     assert parabolic_order(fake, [1]) == 3
-    fake = SimpleNamespace(root_supports=((0b1, 2),))
+    fake = SimpleNamespace(rank=1, root_supports=((0b1, 2),))
     with pytest.raises(InvariantViolation, match="3/2"):
         parabolic_order(fake, [1])
 
