@@ -16,6 +16,7 @@ from atomic.rootdata import classical_root, root_system
 from atomic.weyl import (
     ReflectionSubgroup,
     a_decomposition,
+    dominant_orbit_size,
     enumerate_group,
     evaluate,
     group_order,
@@ -29,6 +30,7 @@ from atomic.weyl import (
     standard_parabolic,
     utopic_check,
 )
+from test_parabolic import ALL_TYPES_TO_RANK_8
 
 
 def test_evaluate_identity_and_involution():
@@ -308,8 +310,6 @@ def _utopic_count(label):
 
 
 def test_group_orders():
-    from atomic.weyl import dominant_orbit_size
-
     expected = {
         "A1": 2, "A4": 120, "B2": 8, "B4": 384, "C3": 48, "D4": 192,
         "D5": 1920, "E6": 51840, "E7": 2903040, "E8": 696729600,
@@ -338,12 +338,8 @@ def test_group_orders():
 SMALL_RANK_TYPES = (
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2",
 )
-# Every type through rank 8 except C2, which sympy refuses (its C starts at 3).
-RANK8_TYPES = (
-    tuple(f"A{n}" for n in range(1, 9)) + tuple(f"B{n}" for n in range(2, 9))
-    + tuple(f"C{n}" for n in range(3, 9)) + tuple(f"D{n}" for n in range(4, 9))
-    + ("E6", "E7", "E8", "F4", "G2")
-)
+# sympy refuses C2 (its type C starts at rank 3)
+SYMPY_TYPES = tuple(spec for spec in ALL_TYPES_TO_RANK_8 if spec != "C2")
 
 
 @pytest.mark.parametrize("spec", SMALL_RANK_TYPES)
@@ -356,7 +352,7 @@ def test_parabolic_orders_match_enumeration(spec):
             assert parabolic_order(system, subset) == len(enumerate_group(system, gens))
 
 
-@pytest.mark.parametrize("spec", RANK8_TYPES)
+@pytest.mark.parametrize("spec", SYMPY_TYPES)
 def test_group_order_and_cartan_match_sympy(spec):
     weyl_group = pytest.importorskip("sympy.liealgebras.weyl_group")
     cartan_module = pytest.importorskip("sympy.liealgebras.cartan_matrix")
