@@ -368,7 +368,9 @@ def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
     Direct path: act on the weight and pair with rho^vee, using
     <alpha_i, rho^vee> = 1 and <delta, rho^vee> = h^vee.  Closed path: the
     finite part plus the translation correction terms, through
-    gamma = wbar^{-1} beta.  Both run in units of 1/(2 D den).
+    gamma = wbar^{-1} beta.  Both run in units of 1/(2 D den).  Writing
+    (lbar | gamma) as (wbar lbar | beta) would make the two paths equal term
+    for term, so gamma goes through `act_inverse_root`.
     """
     lam.require_dominant_integral()
     system = w.system
@@ -380,8 +382,10 @@ def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
     direct = two_d * (sum(lnum) - sum(finite)) + hvee * drop
 
     finite_part = sum(lnum) - sum(w.fbar.act_root(lnum))
+    # (lbar | gamma) vanishes with lbar, as at Lambda_0; only then is gamma skipped
+    cross = 2 * g(lnum, w.gamma()) if any(lnum) else 0
     closed = two_d * (finite_part - shift * sum(w.beta)) + hvee * (
-        2 * g(lnum, w.gamma()) + shift * g(w.beta, w.beta)
+        cross + shift * g(w.beta, w.beta)
     )
     if direct != closed:
         raise InvariantViolation(
@@ -584,18 +588,17 @@ def affine_image_probe(
     else:
         # L = L_lbar(wbar) + level L_Lambda0(beta) + h^vee (lbar | wbar^{-1} beta)
         # in units of 1/(2 D den).  Per finite element keep the scaled finite
-        # term and the integer row r with r . beta = 2 h^vee lnum^T G wbar^{-1} beta.
-        n, hvee = system.rank, system.dual_coxeter_number
+        # term and the integer row r with r . beta = 2 h^vee lnum^T G wbar^{-1} beta;
+        # since (lbar | wbar^{-1} alpha_j) = (wbar lbar | alpha_j), that row is
+        # 2 h^vee G (wbar lnum), read from the image the finite term uses.
+        hvee = system.dual_coxeter_number
         two_d = 2 * system.gram_scale
         unit = two_d * lam.den
-        g = system.scaled_inner_product
         rows = []
         for wbar in enumerate_group(system):
-            finite_term = two_d * (sum(lnum) - sum(wbar.act_root(lnum)))
-            row = tuple(
-                2 * hvee * g(lnum, wbar.act_inverse_root(system.simple_root(j)))
-                for j in range(1, n + 1)
-            )
+            image = wbar.act_root(lnum)
+            finite_term = two_d * (sum(lnum) - sum(image))
+            row = tuple(2 * hvee * sum(map(mul, g_row, image)) for g_row in system.gram)
             rows.append((finite_term, row))
         for beta in ball:
             v0 = unit * lam.level * level_one_atomic_length(system, beta)

@@ -22,7 +22,6 @@ from .weyl import (
     dominant_orbit_size,
     group_order,
     identity_element,
-    longest_element,
     parabolic_order,
     simple_reflection,
 )
@@ -278,11 +277,18 @@ def image_set(system: RootSystem, lam: Weight, cap=ORBIT_CAP, histogram=False) -
 
 
 def atomic_length_w0(system: RootSystem, lam: Weight) -> int:
-    """The maximal value <lambda - w0(lambda), rho^vee>."""
+    """The maximal value <lambda - w0(lambda), rho^vee> = 2 <lambda, rho^vee>,
+    as -w0 permutes the simple coroots and fixes rho^vee; <lambda, rho^vee> is
+    sum(S lambda) / S in scaled root coordinates (S = `weight_scale`)."""
     system.require_finite("w0 is taken in the finite Weyl group")
     lam.require_dominant_integral()
-    w0 = longest_element(system)
-    return lambda_atomic_length(w0, lam)
+    scale = system.weight_scale
+    value, rem = divmod(2 * sum(system.scaled_root_coords(lam.fund)), scale)
+    if rem:
+        raise InvariantViolation(
+            f"2<lambda, rho^vee> = {value} + {rem}/{scale} is not an integer"
+        )
+    return value
 
 
 @dataclass(frozen=True)

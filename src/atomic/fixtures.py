@@ -219,11 +219,14 @@ def check_rank2_image_sets():
 
 
 def check_longest_element_values():
+    def w0_route(system):  # the closed form atomic_length_w0 is checked against it
+        return atomiclen.lambda_atomic_length(weyl.longest_element(system), system.rho)
+
     out = []
     for label in W0_CLASSICAL:
         system = root_system(label)
-        via_w0 = atomiclen.atomic_length_w0(system, system.rho)
-        via_rho = 2 * sum(system.rho_coords)
+        via_w0 = w0_route(system)
+        via_rho = atomiclen.atomic_length_w0(system, system.rho)
         want = W0_CLOSED_FORMS[system.label.family](system.rank)
         out.append(
             _result(
@@ -235,7 +238,7 @@ def check_longest_element_values():
     for label, want in W0_EXCEPTIONAL.items():
         system = root_system(label)
         got = atomiclen.atomic_length_w0(system, system.rho)
-        ok = got == 2 * sum(system.rho_coords) == want
+        ok = got == w0_route(system) == want
         out.append(_result(f"w0-value/{label}", ok, f"{got} vs {want}"))
     return out
 

@@ -37,16 +37,6 @@ _RANK_RANGE = {
     "G": (2, 2),
 }
 
-_POSITIVE_ROOT_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
-
 
 @dataclass(frozen=True)
 class TypeLabel:
@@ -433,6 +423,3 @@ def classical_root(system: RootSystem, kind: str, i: int, j: int | None = None):
         raise ValueError(f"unknown classical root kind {kind!r}")
     return ambient_to_root_coords(system, v)
 
-
-def expected_positive_root_count(label: TypeLabel) -> int:
-    return _POSITIVE_ROOT_COUNT[label.family](label.rank)

@@ -110,8 +110,7 @@ def susanfe_decomposition_check(
     system = t.system
     if not susanfe_check(t).is_susanfe:
         raise PreconditionViolation("t is not Susanfe")
-    t_inv = t.inverse()
-    if t != t_inv:
+    if not (t * t).is_identity():
         raise PreconditionViolation("t is not an involution")
     conj_gens = [t * s * t for s in sub.simple_reflections]
     sub_b = ReflectionSubgroup(system, conj_gens)

@@ -2,13 +2,14 @@
 
 Elements are integer matrices acting on simple-root coordinates; column i of
 the matrix is the image of alpha_i.  The matrix is stored flat, column after
-column, and every element carries its inverse in the same form: a product
-computes (xy)^{-1} = y^{-1} x^{-1} alongside xy, and reflections are their
-own inverses, so no element is ever inverted by elimination unless it was
-built from explicit columns.  Words multiply by ordinary composition: the
-word [i1, i2, ..., ir] evaluates to s_{i1} o s_{i2} o ... o s_{ir}, i.e. the
-rightmost letter acts first.  Equality and hashing go through the matrix,
-never through words.
+column, and it is the only matrix an element holds.  W acts by isometries of
+its invariant form (Humphreys, Reflection Groups and Coxeter Groups, ch. 1),
+so with G = E A the integer Gram matrix of `rootdata` (A the Cartan matrix,
+E = diag(G_ii / 2)) every inverse is w^{-1} = G^{-1} w^T G = A^{-1} E^{-1}
+w^T G, read from the one stored matrix a vector at a time.  Words multiply
+by ordinary composition: the word [i1, i2, ..., ir] evaluates to
+s_{i1} o s_{i2} o ... o s_{ir}, i.e. the rightmost letter acts first.
+Equality and hashing go through the matrix, never through words.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     SubgroupTooLarge,
     SystemMismatch,
 )
-from .linalg import mat_inv
 from .rootdata import RootSystem, Weight
 
 GROUP_ENUMERATION_CAP = 10**7
@@ -87,11 +87,10 @@ def _product(a, a_refl, b, b_refl, n):
     return tuple(out)
 
 
-def _element(system: RootSystem, flat, inverse, refl=None) -> "WeylElement":
+def _element(system: RootSystem, flat, refl=None) -> "WeylElement":
     w = object.__new__(WeylElement)
     w.system = system
     w._m = flat
-    w._inv = inverse
     w._refl = refl
     w._hash = hash(flat)
     w._inversions = None
@@ -101,12 +100,17 @@ def _element(system: RootSystem, flat, inverse, refl=None) -> "WeylElement":
 class WeylElement:
     """A Weyl group element as an integer matrix in simple-root coordinates."""
 
-    __slots__ = ("system", "_m", "_inv", "_refl", "_hash", "_inversions")
+    __slots__ = ("system", "_m", "_refl", "_hash", "_inversions")
 
     def __init__(self, system: RootSystem, cols):
+        # the inverse read from the form is only right when M^T G M = G
+        cols = tuple(tuple(c) for c in cols)
+        g_cols = [tuple(sum(map(mul, row, c)) for row in system.gram) for c in cols]
+        form = tuple(tuple(sum(map(mul, c, g)) for g in g_cols) for c in cols)
+        if form != system.gram or any(len(c) != system.rank for c in cols):
+            raise ValueError(f"columns {cols} do not preserve the {system.label} form")
         self.system = system
         self._m = tuple(x for c in cols for x in c)
-        self._inv = None  # computed on demand: no product carries it here
         self._refl = None
         self._hash = hash(self._m)
         self._inversions = None
@@ -122,30 +126,15 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.system is not self.system and self.system.label != other.system.label:
             raise SystemMismatch(f"{self.system.label} vs {other.system.label}")
-        n = self.system.rank
-        # (xy)^{-1} = y^{-1} x^{-1}; a reflection is its own inverse
-        x_inv, y_inv = self._inverse_flat(), other._inverse_flat()
-        return _element(
-            self.system,
-            _product(self._m, self._refl, other._m, other._refl, n),
-            _product(y_inv, other._refl, x_inv, self._refl, n),
-        )
+        flat = _product(self._m, self._refl, other._m, other._refl, self.system.rank)
+        return _element(self.system, flat)
 
     def inverse(self) -> "WeylElement":
-        return _element(self.system, self._inverse_flat(), self._m, self._refl)
-
-    def _inverse_flat(self):
-        if self._inv is None:
-            # Only elements built from explicit columns get here.  The
-            # matrix is integral with determinant +-1, so the exact inverse
-            # is integral again.
-            n = self.system.rank
-            rows = mat_inv(tuple(zip(*self.cols)))
-            inv = [rows[i][j] for j in range(n) for i in range(n)]
-            if any(x.denominator != 1 for x in inv):
-                raise ValueError("matrix is not unimodular")
-            self._inv = tuple(int(x) for x in inv)
-        return self._inv
+        if self._refl is not None:
+            return self
+        simple = map(self.system.simple_root, range(1, self.system.rank + 1))
+        flat = tuple(x for root in simple for x in self.act_inverse_root(root))
+        return _element(self.system, flat)
 
     def is_identity(self) -> bool:
         return self._m == _identity_flat(self.system.rank)
@@ -157,7 +146,25 @@ class WeylElement:
         return _apply(self._m, coords, self.system.rank)
 
     def act_inverse_root(self, coords):
-        return _apply(self._inverse_flat(), coords, self.system.rank)
+        """w^{-1} x = A^{-1} E^{-1} w^T G x: (w^T G x)_j / E_jj = <w^{-1} x,
+        alpha_j^vee>, then A^{-1} = `_scaled_cartan_inv` / S (S = `weight_scale`).
+        Both divisions are exact for integral x."""
+        system, n, m = self.system, self.system.rank, self._m
+        gram, scale = system.gram, system.weight_scale
+        g_x = [sum(map(mul, row, coords)) for row in gram]
+        pairing = []
+        for j in range(n):
+            q, r = divmod(2 * sum(map(mul, m[j * n:j * n + n], g_x)), gram[j][j])
+            if r:
+                raise InvariantViolation(f"<w^-1 x, alpha_{j + 1}^vee> is not an integer")
+            pairing.append(q)
+        out = []
+        for row in system._scaled_cartan_inv:
+            q, r = divmod(sum(map(mul, row, pairing)), scale)
+            if r:
+                raise InvariantViolation(f"w^-1 x has the coordinate {q} + {r}/{scale}")
+            out.append(q)
+        return tuple(out)
 
     def act_weight(self, wt: Weight) -> Weight:
         if wt.system.label != self.system.label:
@@ -190,12 +197,12 @@ class WeylElement:
         return len(self.inversion_set())
 
     def left_descents(self):
-        """Indices i with ell(s_i w) < ell(w), i.e. w^{-1}(alpha_i) < 0."""
-        n, inv = self.system.rank, self._inverse_flat()
+        """Indices i with ell(s_i w) < ell(w): w^{-1} alpha_i < 0, i.e. (alpha_i |
+        w rho) < 0, since a root has the sign of its form with rho."""
+        system = self.system
+        image = self.act_root(system.scaled_root_coords((1,) * system.rank))
         return tuple(
-            i // n + 1
-            for i in range(0, n * n, n)
-            if all(c <= 0 for c in inv[i:i + n])
+            i + 1 for i, row in enumerate(system.gram) if sum(map(mul, row, image)) < 0
         )
 
     def reduced_word(self) -> Word:
@@ -227,8 +234,7 @@ class WeylElement:
 
 
 def identity_element(system: RootSystem) -> WeylElement:
-    flat = _identity_flat(system.rank)
-    return _element(system, flat, flat)
+    return _element(system, _identity_flat(system.rank))
 
 
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
@@ -261,7 +267,7 @@ def root_reflection(system: RootSystem, root) -> WeylElement:
     flat = tuple(
         int(k == j) - coroot[j] * root[k] for j in range(n) for k in range(n)
     )
-    t = _element(system, flat, flat, (root, coroot))
+    t = _element(system, flat, (root, coroot))
     _REFLECTION_CACHE[key] = t
     return t
 
@@ -535,21 +541,17 @@ def a_decomposition(w: WeylElement, sub: ReflectionSubgroup):
 
     Strips canonical simple roots of Delta_A out of N(w) from the left;
     only Delta_A needs testing thanks to the Bruhat-graph functoriality.
-    The inverse of the running remainder is maintained incrementally.
     """
     system = w.system
     rest = w
-    inv = w.inverse()
     w_a = identity_element(system)
     stripped = True
     while stripped:
         stripped = False
         for a in sub.delta:
-            pre = inv.act_root(a)
-            if all(c <= 0 for c in pre):
+            if all(c <= 0 for c in rest.act_inverse_root(a)):
                 s = root_reflection(system, a)
                 rest = s * rest
-                inv = inv * s
                 w_a = w_a * s
                 stripped = True
                 break

@@ -8,6 +8,7 @@ from atomic.errors import IndexOutOfRange, InvalidType, NegativeBound, NotDomina
 from atomic.fixtures import AFFINE_A2_TABLE, shi_minus_ones, shi_pattern
 from atomic.rootdata import root_system
 from atomic.affine import (
+    AffineElement,
     AffineWeight,
     affine_atomic_length,
     affine_decomposition_check,
@@ -325,6 +326,32 @@ def test_image_probe_higher_level_weight():
     report = affine_image_probe(a2, lam, radius=12)
     assert 0 in report.attained
     assert report.certified_max >= 4
+
+
+@pytest.mark.parametrize(
+    "label, coords, radius", [("A2~", (1, 1, 0), 12), ("A3~", (0, 1, 0, 1), 8)]
+)
+def test_image_probe_with_finite_part_matches_direct_path(label, coords, radius):
+    # every element wbar . tau with |beta|^2 <= radius, valued by
+    # affine_atomic_length; the ball is a box of basis coordinates filtered
+    # by the form, and the probe's rows (read from wbar lbar) are not used
+    system = root_system(label)
+    lam = affine_weight(system, coords)
+    basis = translation_lattice_basis(system)
+    ball = []
+    for c in product(range(-radius, radius + 1), repeat=system.rank):
+        beta = tuple(sum(k * b[i] for k, b in zip(c, basis)) for i in range(system.rank))
+        if system.inner_product(beta, beta) <= radius:
+            ball.append(beta)
+    group = enumerate_group(system)
+    values = {
+        affine_atomic_length(AffineElement(system, beta, wbar), lam)
+        for beta in ball
+        for wbar in group
+    }
+    report = affine_image_probe(system, lam, radius)
+    assert report.searched == len(ball) * len(group)
+    assert report.attained == tuple(sorted(v for v in values if v <= report.certified_max))
 
 
 def test_non_dominant_value_regression():

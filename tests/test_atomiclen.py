@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomic.errors import InvalidType, NotDominant, NotReduced, OrbitTooLarge
 from atomic.fixtures import (
@@ -30,6 +33,9 @@ from atomic.weyl import (
     simple_reflection,
     standard_parabolic,
 )
+from test_parabolic import ALL_TYPES_TO_RANK_8
+
+WORDS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 
 def brute_force_image(system, lam):
@@ -218,6 +224,36 @@ def test_simply_laced_symmetry():
         system = root_system(label)
         for w in enumerate_group(system):
             assert atomic_length(w) == atomic_length(w.inverse())
+
+
+@pytest.mark.parametrize("label", [t for t in ALL_TYPES_TO_RANK_8 if t[0] in "ADE"])
+@WORDS
+@given(data=st.data())
+def test_simply_laced_symmetry_on_random_words(label, data):
+    system = root_system(label)
+    word = data.draw(st.lists(st.integers(1, system.rank), max_size=3 * system.rank))
+    w = evaluate(system, word)
+    assert atomic_length(w) == atomic_length(w.inverse())
+
+
+@lru_cache(maxsize=None)
+def cached_longest_element(label):
+    return longest_element(root_system(label))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES_TO_RANK_8)
+@WORDS
+@given(data=st.data())
+def test_w0_antisymmetry_on_random_words(label, data):
+    # L(w0 w) = L(w0) - L(w), with L(w0) from the closed form 2<lambda, rho^vee>
+    system = root_system(label)
+    word = data.draw(st.lists(st.integers(1, system.rank), max_size=3 * system.rank))
+    fund = data.draw(st.lists(st.integers(0, 2), min_size=system.rank, max_size=system.rank))
+    w, lam = evaluate(system, word), system.weight(*fund)
+    top = atomic_length_w0(system, lam)
+    assert lambda_atomic_length(cached_longest_element(label) * w, lam) == (
+        top - lambda_atomic_length(w, lam)
+    )
 
 
 def test_g2_symmetry_counterexample():

@@ -5,7 +5,7 @@ the symmetrizer alone, in exact rationals: the bilinear form
 (x|y) = sum_i d_i x_i (A y)_i, Gauss-Jordan inverses, reflections
 x -> x - <x, beta^vee> beta, and affine words folded as (matrix, translation)
 pairs.  The reference reads none of the kernel's integer Gram matrix,
-carried inverses or scaled weights; the tests compare against them.
+form-based inverses or scaled weights; the tests compare against them.
 """
 
 import os
@@ -22,12 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atomic
-from atomic import affine
+from atomic import affine, weyl
 from atomic.atomiclen import lambda_atomic_length
 from atomic.errors import InvariantViolation
 from atomic.perms import to_weyl
 from atomic.rootdata import root_system
-from atomic.weyl import enumerate_group, root_reflection, simple_reflection
+from atomic.weyl import (
+    WeylElement,
+    enumerate_group,
+    evaluate,
+    root_reflection,
+    simple_reflection,
+)
+from test_parabolic import ALL_TYPES_TO_RANK_8
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -103,7 +110,7 @@ def ref_affine_word(system, word):
     return matrix, beta
 
 
-# -- carried inverses ------------------------------------------------------------
+# -- inverses from the invariant form -------------------------------------------
 
 
 @pytest.mark.parametrize("label", ["B3", "G2", "F4"])
@@ -117,8 +124,8 @@ def test_carried_inverse_matches_gauss_jordan(label):
 
 
 def test_inverse_of_explicit_columns():
-    # elements built from explicit columns carry no inverse and invert once
-    # on demand; in type A the inverse permutation gives it independently
+    # elements built from explicit columns invert through the form like any
+    # other; in type A the inverse permutation gives it independently
     for w in permutations(range(1, 5)):
         inverse = tuple(w.index(v) + 1 for v in range(1, 5))
         element = to_weyl(w)
@@ -133,7 +140,7 @@ def test_inverse_of_explicit_columns():
 )
 def test_carried_inverse_through_mixed_products(label, data):
     # left and right factors, simple and non-simple reflections, and products
-    # of products: every route through __mul__ carries the inverse along
+    # of products: whatever route __mul__ takes, the form gives the inverse
     system = root_system(label)
     roots = system.positive_roots
     pick = st.one_of(
@@ -148,6 +155,35 @@ def test_carried_inverse_through_mixed_products(label, data):
     w = w * w.inverse() * w
     assert rows_of(w.inverse().cols) == ref_inverse(rows_of(w.cols))
     assert (w * w.inverse()).is_identity() and (w.inverse() * w).is_identity()
+
+
+def test_columns_that_break_the_form_are_refused():
+    # the A2 shear alpha_2 -> alpha_1 + alpha_2 is unimodular but no isometry
+    with pytest.raises(ValueError, match="do not preserve the A2 form"):
+        WeylElement(root_system("A2"), ((1, 0), (1, 1)))
+    with pytest.raises(ValueError, match="do not preserve the A2 form"):
+        WeylElement(root_system("A2"), ((1, 0, 0), (0, 1, 0)))
+    elements = {to_weyl(w) for w in permutations(range(1, 6))}
+    assert elements == enumerate_group(root_system("A4"))
+
+
+def test_inverse_of_a_non_isometry_raises():
+    # past the constructor's check, the form's divisions expose the shear
+    shear = weyl._element(root_system("A2"), (1, 0, 1, 1))
+    with pytest.raises(InvariantViolation, match="w\\^-1 x"):
+        shear.act_inverse_root((1, 0))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES_TO_RANK_8)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_inverse_is_the_reversed_word(label, data):
+    # an oracle of forward products only: (s_i1 ... s_ir)^{-1} = s_ir ... s_i1
+    system = root_system(label)
+    word = data.draw(st.lists(st.integers(1, system.rank), max_size=3 * system.rank))
+    w = evaluate(system, word)
+    assert w.inverse() == evaluate(system, reversed(word))
+    assert (w * w.inverse()).is_identity()
 
 
 # -- integer Gram form -------------------------------------------------------------

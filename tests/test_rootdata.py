@@ -7,7 +7,6 @@ from atomic.fixtures import W0_CLASSICAL, W0_CLOSED_FORMS, W0_EXCEPTIONAL
 from atomic.rootdata import (
     TypeLabel,
     classical_root,
-    expected_positive_root_count,
     parse_type,
     root_system,
 )
@@ -19,6 +18,21 @@ ALL_TYPES = [
     "D4", "D5", "D6",
     "E6", "E7", "E8", "F4", "G2",
 ]
+
+# |Phi^+| per family, as a function of the rank (Bourbaki, planches I-IX)
+POSITIVE_ROOT_COUNT = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
+
+
+def expected_positive_root_count(label: TypeLabel) -> int:
+    return POSITIVE_ROOT_COUNT[label.family](label.rank)
 
 
 def test_parse_type_variants():
