@@ -16,13 +16,22 @@ Gram matrix of `rootdata` and den the common denominator of a weight's
 finite part (den = 1 for Lambda_0), the affine atomic length, the probe and
 the level-one values are computed in units of 1/(2 D den): each is an
 integer numerator, divided once at the end, where its integrality is
-checked.  Shi coefficients are one floor division in units of 1/(hD).
+checked.  Shi coefficients are one floor division in units of 1/(N D) of a
+single forward image of the scaled alcove point N x0.
+
+The probe and the lattice counts of `cores` share one generator,
+`lattice_ball`: Fincke-Pohst enumeration on an integer LDL^T of the basis
+Gram matrix, yielding each (beta, beta^T G beta) in the ball and trying no
+point outside its shadow.  Away from Lambda_0 a probe value depends on wbar
+only through mu = wbar(lbar), so the probe walks the finite orbit W.lbar
+(`weyl.orbit_weights`), not W; `searched` still counts group elements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from operator import mul
 
@@ -34,13 +43,13 @@ from .errors import (
     NotDominant,
     RadiusTooLarge,
 )
-from .linalg import mat_inv, mat_vec
 from .rootdata import RootSystem
 from .weyl import (
     WeylElement,
-    enumerate_group,
+    group_order,
     identity_element,
     orbit_depths,
+    orbit_weights,
     root_reflection,
     simple_reflection,
 )
@@ -265,10 +274,8 @@ def act_element_on_weight(w: AffineElement, mu: AffineWeight) -> AffineWeight:
 def alcove_point(system: RootSystem):
     """The interior point x0 of the fundamental alcove with (alpha_i|x0) = 1/h."""
     h = system.coxeter_number
-    target = tuple(
-        Fraction(1, h) / d for d in system.symmetrizer
-    )  # (A x0)_i = 1/(h d_i)
-    return mat_vec(system.cartan_inv, target)
+    # (A x0)_i = 1/(h d_i)
+    return system.root_coords(tuple(Fraction(1, h) / d for d in system.symmetrizer))
 
 
 @dataclass(frozen=True)
@@ -327,21 +334,28 @@ class ShiVector:
         return rows
 
 
+@cache
+def _scaled_alcove_point(system: RootSystem):
+    """(N, N x0) with N the least integer that makes N x0 integral; built on
+    first use, once per system."""
+    x0 = alcove_point(system)
+    scale = math.lcm(*(c.denominator for c in x0))
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in x0)
+
+
 def shi_vector(w: AffineElement) -> ShiVector:
     """k(w, alpha) = floor((alpha | wbar x0 + beta)) in integers.
 
-    (alpha | wbar x0) = (wbar^{-1} alpha | x0) = ht(wbar^{-1} alpha) / h and
-    (alpha | beta) = alpha^T G beta / D, so each coefficient is one floor
-    division in units of 1/(hD).
+    One forward image z = wbar(N x0) + N beta of the scaled alcove point
+    gives (alpha | wbar x0 + beta) = alpha^T G z / (N D), so each coefficient
+    is one dot product with G z and one floor division.
     """
     system = w.system
-    h, d = system.coxeter_number, system.gram_scale
-    g_beta = tuple(sum(map(mul, row, w.beta)) for row in system.gram)
-    coeffs = tuple(
-        (d * sum(w.fbar.act_inverse_root(alpha)) + h * sum(map(mul, alpha, g_beta)))
-        // (h * d)
-        for alpha in system.positive_roots
-    )
+    scale, point = _scaled_alcove_point(system)
+    z = tuple(p + scale * b for p, b in zip(w.fbar.act_root(point), w.beta))
+    g_z = tuple(sum(map(mul, row, z)) for row in system.gram)
+    unit = scale * system.gram_scale
+    coeffs = tuple(sum(map(mul, alpha, g_z)) // unit for alpha in system.positive_roots)
     return ShiVector(system, coeffs)
 
 
@@ -395,19 +409,20 @@ def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
     return _unscale(direct, two_d * lam.den, "affine atomic length")
 
 
-def level_one_atomic_length(system: RootSystem, beta) -> int:
-    """(h^vee / 2) |beta|^2 - ht(beta); independent of the finite part."""
-    _require_affine(system)
-    two_d = 2 * system.gram_scale
-    value = _unscale(
-        system.dual_coxeter_number * system.scaled_inner_product(beta, beta)
-        - two_d * sum(beta),
-        two_d,
-        "level-one value",
-    )
+def _level_one(hvee: int, two_d: int, beta, norm: int) -> int:
+    """(h^vee / 2) |beta|^2 - ht(beta) from norm = beta^T G beta = D |beta|^2,
+    in units of 1/(2D); the one place a level-one value is computed."""
+    value = _unscale(hvee * norm - two_d * sum(beta), two_d, "level-one value")
     if value < 0:
         raise InvariantViolation(f"level-one value {value} < 0 at beta = {tuple(beta)}")
     return value
+
+
+def level_one_atomic_length(system: RootSystem, beta) -> int:
+    """(h^vee / 2) |beta|^2 - ht(beta); independent of the finite part."""
+    _require_affine(system)
+    norm = system.scaled_inner_product(beta, beta)
+    return _level_one(system.dual_coxeter_number, 2 * system.gram_scale, beta, norm)
 
 
 def affine_decomposition_check(w: AffineElement, lam: AffineWeight) -> bool:
@@ -463,50 +478,75 @@ def translation_lattice_basis(system: RootSystem):
     return tuple(basis)
 
 
-def _lattice_ball(system: RootSystem, basis, norm_bound: Fraction, cap):
-    """All lattice vectors beta with |beta|^2 <= norm_bound, exactly.
+def lattice_ball(system: RootSystem, norm_bound, cap=None):
+    """Yield (beta, beta^T G beta) for every translation-lattice vector beta
+    with |beta|^2 <= norm_bound, each once; return the number of lattice
+    points tried.
 
-    Coordinate boxes come from the inverse Gram matrix of the basis
-    (standard ellipsoid bound), then candidates are filtered exactly.
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) in the coordinates x of
+    `translation_lattice_basis`.  One LDL^T of the basis Gram matrix, in
+    Fractions, is scaled to K Q(x) = sum_i W_i (e_i x_i + u_i)^2 with integers
+    W_i, e_i and integer forms u_i = sum_{j>i} E_ij x_j.  With budget B left
+    by x_{n-1}, ..., x_{i+1}, x_i runs over |e_i x_i + u_i| <= isqrt(B // W_i).
+    Every point tried, at every level, counts against `cap` (default
+    PROBE_CAP); past it RadiusTooLarge is raised.
     """
+    _require_affine(system)
+    cap = PROBE_CAP if cap is None else cap
     n = system.rank
-    gram = tuple(
-        tuple(system.inner_product(a, b) for b in basis) for a in basis
-    )
-    gram_inv = mat_inv(gram)
-    bounds = []
-    for i in range(n):
-        limit = gram_inv[i][i] * norm_bound
-        bound = math.isqrt(math.floor(limit)) if limit >= 0 else 0
-        while Fraction((bound + 1) ** 2) <= limit:
-            bound += 1
-        bounds.append(bound)
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
-        if total > cap:
-            raise RadiusTooLarge(f"lattice ball of {total} candidates exceeds cap")
+    scales = [row[i] for i, row in enumerate(translation_lattice_basis(system))]
+    q = [
+        [Fraction(si * sj * g) for sj, g in zip(scales, row)]
+        for si, row in zip(scales, system.gram)
+    ]
+    for i in range(n):  # LDL^T, completing the square in x_0 first
+        for k in range(i + 1, n):
+            q[i][k] /= q[i][i]
+        for k in range(i + 1, n):
+            for m in range(k, n):
+                q[k][m] -= q[i][i] * q[i][k] * q[i][m]
+    dens = [math.lcm(*(c.denominator for c in q[i][i + 1:])) for i in range(n)]
+    forms = [  # E_ij = e_i q_ij for j > i, integers by the choice of e_i
+        (0,) * (i + 1) + tuple(c.numerator * (e // c.denominator) for c in row[i + 1:])
+        for i, (e, row) in enumerate(zip(dens, q))
+    ]
+    pivots = [q[i][i] / (e * e) for i, e in enumerate(dens)]
+    k_scale = math.lcm(*(p.denominator for p in pivots))
+    weights = [p.numerator * (k_scale // p.denominator) for p in pivots]
+    # Q(x) = beta^T G beta is an integer, so the ball is Q(x) <= floor(D bound)
+    full = k_scale * math.floor(system.gram_scale * norm_bound)
+    if full < 0:
+        return 0
+    x = [0] * n
+    tried = 0
 
-    out = []
-    coeffs = [0] * n
-    # |beta|^2 <= bound  <=>  beta^T G beta <= floor(D * bound)
-    scaled_bound = math.floor(norm_bound * system.gram_scale)
-    g = system.scaled_inner_product
-
-    def rec(i):
-        if i == n:
-            beta = tuple(
-                sum(coeffs[j] * basis[j][k] for j in range(n)) for k in range(n)
-            )
-            if g(beta, beta) <= scaled_bound:
-                out.append(beta)
+    def level(i, budget):
+        nonlocal tried
+        e, w = dens[i], weights[i]
+        u = sum(map(mul, forms[i], x))
+        s = math.isqrt(budget // w)
+        lo, hi = -((u + s) // e), (s - u) // e
+        if hi < lo:
             return
-        for c in range(-bounds[i], bounds[i] + 1):
-            coeffs[i] = c
-            rec(i + 1)
+        tried += hi - lo + 1
+        if tried > cap:
+            raise RadiusTooLarge(
+                f"more than {cap} lattice points tried for |beta|^2 <= {norm_bound}"
+            )
+        if i:
+            for xi in range(lo, hi + 1):
+                x[i] = xi
+                t = e * xi + u
+                yield from level(i - 1, budget - w * t * t)
+            return
+        rest = tuple(map(mul, scales[1:], x[1:]))
+        used = full - budget  # K Q of the coordinates fixed above
+        for x0 in range(lo, hi + 1):
+            t = e * x0 + u
+            yield (scales[0] * x0,) + rest, _unscale(used + w * t * t, k_scale, "norm")
 
-    rec(0)
-    return out
+    yield from level(n - 1, full)
+    return tried
 
 
 def _certified_max(system: RootSystem, lam: AffineWeight, norm_bound: Fraction) -> int:
@@ -516,22 +556,17 @@ def _certified_max(system: RootSystem, lam: AffineWeight, norm_bound: Fraction) 
     u = |beta|^2, where c0 = |h x0| bounds heights and c1 = |lbar|; the
     inequality ((A s - N)^2 >= B^2 s) is checked in exact rational arithmetic.
     """
-    h = system.coxeter_number
+    hvee = system.dual_coxeter_number
     x0 = alcove_point(system)
-    c0_sq = system.inner_product(x0, x0) * h * h
+    c0_sq = system.inner_product(x0, x0) * system.coxeter_number**2
     c1_sq = system.inner_product(lam.finite, lam.finite)
-    a_coef = Fraction(lam.level * system.dual_coxeter_number, 2)
-    # B^2 = (level c0 + h^vee c1)^2 <= 2 level^2 c0^2 + 2 h_vee^2 c1^2 is
-    # avoided: keep the exact square via (x+y)^2 <= 2x^2 + 2y^2 only when
-    # needed; here compute B^2 exactly when one term vanishes, else pad.
-    if c1_sq == 0:
-        b_sq = Fraction(lam.level**2) * c0_sq
-    elif c0_sq == 0:
-        b_sq = Fraction(system.dual_coxeter_number**2) * c1_sq
-    else:
-        b_sq = 2 * Fraction(lam.level**2) * c0_sq + 2 * Fraction(
-            system.dual_coxeter_number**2
-        ) * c1_sq
+    a_coef = Fraction(lam.level * hvee, 2)
+    # B^2 = (level c0 + h^vee c1)^2 involves c0 c1, which may be irrational.
+    # At lbar = 0 it is level^2 c0^2, exactly; otherwise it is padded to
+    # 2 level^2 c0^2 + 2 h^vee^2 c1^2 >= B^2, as (x + y)^2 <= 2x^2 + 2y^2.
+    b_sq = lam.level**2 * c0_sq
+    if c1_sq:
+        b_sq = 2 * b_sq + 2 * hvee**2 * c1_sq
     s = norm_bound
     if a_coef == 0:
         return 0
@@ -563,49 +598,55 @@ class AffineProbeReport:
 
 
 def affine_image_probe(
-    system: RootSystem, lam: AffineWeight, radius: int, cap=PROBE_CAP
+    system: RootSystem, lam: AffineWeight, radius: int, cap=None
 ) -> AffineProbeReport:
     """Values of the affine atomic length over a certified search ball.
 
     `radius` bounds |beta|^2 over the translation lattice.  The report lists
     which integers in [0, certified_max] are attained; the certificate says
     no element outside the ball can take a value below that threshold.
+    `searched` counts the group elements wbar . tau valued, |W| per lattice
+    point away from Lambda_0.  `cap` bounds the lattice points tried
+    (default PROBE_CAP).
     """
     _require_affine(system)
     lam.require_dominant_integral()
     if radius < 0:
         raise NegativeBound(f"radius {radius} must be nonnegative")
-    basis = translation_lattice_basis(system)
-    ball = _lattice_ball(system, basis, Fraction(radius), cap)
+    ball = lattice_ball(system, radius, cap)
+    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
 
     lnum = lam.num
-    values = set()
-    searched = 0
+    points = 0
     if not any(lnum) and lam.level == 1:
-        for beta in ball:
-            values.add(level_one_atomic_length(system, beta))
-            searched += 1
+        values = set()
+        for beta, norm in ball:
+            values.add(_level_one(hvee, two_d, beta, norm))
+            points += 1
+        searched = points
     else:
         # L = L_lbar(wbar) + level L_Lambda0(beta) + h^vee (lbar | wbar^{-1} beta)
-        # in units of 1/(2 D den).  Per finite element keep the scaled finite
-        # term and the integer row r with r . beta = 2 h^vee lnum^T G wbar^{-1} beta;
-        # since (lbar | wbar^{-1} alpha_j) = (wbar lbar | alpha_j), that row is
-        # 2 h^vee G (wbar lnum), read from the image the finite term uses.
-        hvee = system.dual_coxeter_number
-        two_d = 2 * system.gram_scale
+        # in units of 1/(2 D den) depends on wbar through mu = wbar lbar alone:
+        # L_lbar(wbar) is the depth <lbar - mu, rho^vee> of mu in the orbit, and
+        # (lbar | wbar^{-1} alpha_j) = (mu | alpha_j) = G_jj mu_j / (2D), so
+        # 2 D den h^vee (lbar | wbar^{-1} beta) = row . beta with
+        # row_j = h^vee den G_jj mu_j.  The walk over W.lbar in fundamental
+        # coordinates stops at the top depth 2 <lbar, rho^vee>.
         unit = two_d * lam.den
-        rows = []
-        for wbar in enumerate_group(system):
-            image = wbar.act_root(lnum)
-            finite_term = two_d * (sum(lnum) - sum(image))
-            row = tuple(2 * hvee * sum(map(mul, g_row, image)) for g_row in system.gram)
-            rows.append((finite_term, row))
-        for beta in ball:
-            v0 = unit * lam.level * level_one_atomic_length(system, beta)
+        top = _unscale(2 * sum(lnum), lam.den, "2 <lbar, rho^vee>")
+        diag = [row[j] for j, row in enumerate(system.gram)]
+        rows = [
+            (unit * depth, tuple(hvee * lam.den * g * m for g, m in zip(diag, mu)))
+            for depth, mu in orbit_weights(system.cartan, lam.fund, top)
+        ]
+        scaled = set()
+        for beta, norm in ball:
+            v0 = unit * lam.level * _level_one(hvee, two_d, beta, norm)
             for finite_term, row in rows:
-                v = finite_term + v0 + sum(map(mul, row, beta))
-                values.add(_unscale(v, unit, "affine atomic length"))
-            searched += len(rows)
+                scaled.add(finite_term + v0 + sum(map(mul, row, beta)))
+            points += 1
+        values = {_unscale(v, unit, "affine atomic length") for v in scaled}
+        searched = group_order(system) * points
 
     certified = _certified_max(system, lam, Fraction(radius))
     attained = tuple(sorted(v for v in values if v <= certified))

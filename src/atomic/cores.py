@@ -46,23 +46,6 @@ def beta_numbers(p: Partition) -> tuple[int, ...]:
     return tuple(p[i] + k - 1 - i for i in range(k))
 
 
-def hook_lengths(p: Partition):
-    """The full hook-length multiset, row by row."""
-    k = len(p)
-    conj = conjugate(p)
-    out = []
-    for r in range(k):
-        for c in range(p[r]):
-            out.append(p[r] - c + conj[c] - r - 1)
-    return tuple(out)
-
-
-def conjugate(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > c) for c in range(p[0]))
-
-
 def is_core(p, m: int) -> bool:
     """No hook length divisible by m, via the beta-number criterion."""
     if m < 2:
@@ -70,51 +53,6 @@ def is_core(p, m: int) -> bool:
     p = check_partition(p)
     betas = set(beta_numbers(p))
     return all(b < m or b - m in betas for b in betas)
-
-
-def remove_rim_hook(p: Partition, r: int, c: int, m: int):
-    """Remove the rim m-hook with head in cell (r, c); None when impossible.
-
-    Literal rim walk: start at the rim cell at the end of row r past column
-    c, walk down-left along the rim for m steps, and strip the walked cells.
-    This is deliberately independent of the hook-length criterion so the two
-    can be tested against each other.
-    """
-    rows = list(p)
-    conj = conjugate(p)
-    # cells of the rim hook for the hook of cell (r, c): all rim cells
-    # between (r, p[r]-1) and (conj[c]-1, c)
-    cells = []
-    rr, cc = r, rows[r] - 1
-    last_row = conj[c] - 1
-    while True:
-        cells.append((rr, cc))
-        if rr == last_row and cc == c:
-            break
-        if rr + 1 <= last_row and rr + 1 < len(rows) and rows[rr + 1] > cc:
-            rr += 1
-        else:
-            cc -= 1
-        if cc < c or rr > last_row:
-            return None
-    if len(cells) != m:
-        return None
-    for rr, cc in cells:
-        rows[rr] -= 1
-        if rows[rr] != cc:
-            return None  # not a rim strip
-    out = tuple(x for x in rows if x > 0)
-    return out if all(a >= b for a, b in zip(out, out[1:])) else None
-
-
-def has_removable_rim_hook(p: Partition, m: int) -> bool:
-    """Brute-force search over all cells for a removable rim m-hook."""
-    p = check_partition(p)
-    for r in range(len(p)):
-        for c in range(p[r]):
-            if remove_rim_hook(p, r, c, m) is not None:
-                return True
-    return False
 
 
 def residues_of_boundary(p: Partition, m: int):
@@ -243,25 +181,20 @@ def count_lattice_points(n: int, target: int):
 
 
 def lattice_value_histogram(n: int, max_target: int):
-    """value -> lattice-point count for all values <= max_target, one sweep."""
-    from .affine import (
-        _certified_max,
-        _lattice_ball,
-        basic_weight,
-        level_one_atomic_length,
-        translation_lattice_basis,
-    )
+    """value -> lattice-point count for all values <= max_target, one sweep
+    of `affine.lattice_ball`, capped by `affine.PROBE_CAP` points tried."""
+    from .affine import _certified_max, _level_one, basic_weight, lattice_ball
 
     system = root_system(f"A{n}~")
-    basis = translation_lattice_basis(system)
     # value = (hvee/2)|b|^2 - ht(b) >= (hvee/2)|b|^2 - c0 |b| with c0 = |h x0|;
     # bound the ball by solving the quadratic in |b| with padded constants.
     norm = Fraction(2 * max_target, n + 1) + 2
     while _certified_max(system, basic_weight(system), norm) < max_target:
         norm += max(1, norm // 2)
+    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
     histogram: dict[int, int] = {}
-    for beta in _lattice_ball(system, basis, norm, cap=10**8):
-        value = level_one_atomic_length(system, beta)
+    for beta, beta_norm in lattice_ball(system, norm):
+        value = _level_one(hvee, two_d, beta, beta_norm)
         if value <= max_target:
             histogram[value] = histogram.get(value, 0) + 1
     return histogram

@@ -2,11 +2,10 @@
 
 Everything here operates on tuples of tuples (rows) and stays exact; the
 matrices involved never exceed rank 8, so no attempt is made to be clever.
-These routines serve set-up work done once per root system or per call
-(the inverse Cartan matrix, coordinates of classical roots, the lattice
-Gram inverse).  The group and affine hot paths run on the scaled integer
-forms of `rootdata` instead; a Weyl element's inverse comes from the
-invariant form (`weyl`).
+These routines serve set-up work done once per root system (the inverse
+Cartan matrix, coordinates of classical roots).  The group and affine hot
+paths run on the scaled integer forms of `rootdata` instead; a Weyl
+element's inverse comes from the invariant form (`weyl`).
 """
 
 from fractions import Fraction

@@ -368,8 +368,10 @@ def dominant_orbit_size(system: RootSystem, fund_coords) -> int:
     return group_order(system) // parabolic_order(system, zero)
 
 
-def orbit_depths(cartan, start, max_depth):
-    """{depth: count} over the orbit of a dominant weight, up to max_depth.
+def _orbit_layers(cartan, start, max_depth):
+    """Yield (depth, bucket, unpack) over the orbit of a dominant weight, one
+    depth at a time up to max_depth; `unpack` turns a packed code of the
+    bucket back into fundamental coordinates.
 
     `cartan[j][i]` is <alpha_i, alpha_j^vee> (finite, or untwisted affine
     with node 0 first) and `start` holds the fundamental coordinates.  The
@@ -392,17 +394,20 @@ def orbit_depths(cartan, start, max_depth):
         (1 << s + width - 1, s, sum(cartan[j][i] << t for j, t in enumerate(shifts)))
         for i, s in enumerate(shifts)
     )
+
+    def unpack(code):
+        return tuple(((code >> s) & mask) - offset for s in shifts)
+
     buckets = defaultdict(set)
     buckets[0].add(sum((c + offset) << s for c, s in zip(start, shifts)))
-    histogram = {}
     states = 0
     while buckets:
         depth = min(buckets)
         bucket = buckets.pop(depth)
-        histogram[depth] = len(bucket)
         states += len(bucket)
         if states > ORBIT_WALK_CAP:
             raise OrbitTooLarge(f"orbit has more than {ORBIT_WALK_CAP} weights")
+        yield depth, bucket, unpack
         room = max_depth - depth
         for code in bucket:
             for top_bit, s, column in nodes:
@@ -410,7 +415,21 @@ def orbit_depths(cartan, start, max_depth):
                     c = ((code >> s) & mask) - offset
                     if c <= room:
                         buckets[depth + c].add(code - c * column)
-    return histogram
+
+
+def orbit_depths(cartan, start, max_depth):
+    """{depth: count} over the orbit of a dominant weight, up to max_depth,
+    by the graded walk of `_orbit_layers`."""
+    layers = _orbit_layers(cartan, start, max_depth)
+    return {depth: len(bucket) for depth, bucket, _ in layers}
+
+
+def orbit_weights(cartan, start, max_depth):
+    """Yield (depth, fundamental coordinates) for every weight of the orbit
+    of a dominant weight up to max_depth, by the same graded walk."""
+    for depth, bucket, unpack in _orbit_layers(cartan, start, max_depth):
+        for code in bucket:
+            yield depth, unpack(code)
 
 
 def reduced_words(w: WeylElement):

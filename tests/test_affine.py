@@ -329,7 +329,14 @@ def test_image_probe_higher_level_weight():
 
 
 @pytest.mark.parametrize(
-    "label, coords, radius", [("A2~", (1, 1, 0), 12), ("A3~", (0, 1, 0, 1), 8)]
+    "label, coords, radius",
+    [
+        ("A2~", (1, 1, 0), 12),
+        ("A3~", (0, 1, 0, 1), 8),
+        # non-simply-laced: the orbit rows read cartan[j][i], not cartan[i][j]
+        ("C2~", (0, 1, 0), 10),
+        ("B3~", (1, 1, 0, 0), 6),
+    ],
 )
 def test_image_probe_with_finite_part_matches_direct_path(label, coords, radius):
     # every element wbar . tau with |beta|^2 <= radius, valued by

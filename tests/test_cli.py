@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from atomic import cli, fixtures
+from atomic import affine, cli, fixtures
 from atomic.cli import main
 from test_acceptance import assert_fixture_group
 
@@ -198,3 +198,12 @@ def test_entropy_n_cap(capsys, monkeypatch):
     assert run_cli(capsys, "entropy", "--n", "5")[0] == 3
     code, out, _ = run_cli(capsys, "entropy", "--n", "1")
     assert code == 0 and out.splitlines()[1:] == ["1,0,0,0,0,1"]
+
+
+def test_affine_radius_cap(capsys, monkeypatch):
+    argv = ("affine", "--type", "A2~", "--weight", "1,0,0", "--radius", "12")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(affine, "PROBE_CAP", 10)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "more than 10 lattice points tried" in err

@@ -4,16 +4,78 @@ from atomic.errors import InvalidModulus, NegativeBound, NotACore, SizeTooLarge
 from atomic.fixtures import THREE_CORE_SIZES
 from atomic.cores import (
     beta_numbers,
-    conjugate,
     core_count_vs_lattice,
     core_sizes,
     count_lattice_points,
-    has_removable_rim_hook,
-    hook_lengths,
     is_core,
     orbit_cores,
     residue_reflect,
 )
+
+
+# Hook lengths and a literal rim walk: two oracles for the beta-number test
+# of `is_core`, each independent of it.
+
+
+def hook_lengths(p):
+    """The full hook-length multiset, row by row."""
+    k = len(p)
+    conj = conjugate(p)
+    out = []
+    for r in range(k):
+        for c in range(p[r]):
+            out.append(p[r] - c + conj[c] - r - 1)
+    return tuple(out)
+
+
+def conjugate(p):
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x > c) for c in range(p[0]))
+
+
+def remove_rim_hook(p, r: int, c: int, m: int):
+    """Remove the rim m-hook with head in cell (r, c); None when impossible.
+
+    Literal rim walk: start at the rim cell at the end of row r past column
+    c, walk down-left along the rim for m steps, and strip the walked cells.
+    This is deliberately independent of the hook-length criterion so the two
+    can be tested against each other.
+    """
+    rows = list(p)
+    conj = conjugate(p)
+    # cells of the rim hook for the hook of cell (r, c): all rim cells
+    # between (r, p[r]-1) and (conj[c]-1, c)
+    cells = []
+    rr, cc = r, rows[r] - 1
+    last_row = conj[c] - 1
+    while True:
+        cells.append((rr, cc))
+        if rr == last_row and cc == c:
+            break
+        if rr + 1 <= last_row and rr + 1 < len(rows) and rows[rr + 1] > cc:
+            rr += 1
+        else:
+            cc -= 1
+        if cc < c or rr > last_row:
+            return None
+    if len(cells) != m:
+        return None
+    for rr, cc in cells:
+        rows[rr] -= 1
+        if rows[rr] != cc:
+            return None  # not a rim strip
+    out = tuple(x for x in rows if x > 0)
+    return out if all(a >= b for a, b in zip(out, out[1:])) else None
+
+
+def has_removable_rim_hook(p, m: int) -> bool:
+    """Brute-force search over all cells for a removable rim m-hook."""
+    for r in range(len(p)):
+        for c in range(p[r]):
+            if remove_rim_hook(p, r, c, m) is not None:
+                return True
+    return False
 
 
 def partitions_of(n, cap=None):
