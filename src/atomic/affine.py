@@ -117,19 +117,21 @@ class AffineWeight:
 
 
 def affine_weight(system: RootSystem, coords) -> AffineWeight:
-    """Build a weight from affine fundamental coordinates (m_0, m_1, ..., m_n)."""
+    """Build a weight from affine fundamental coordinates (m_0, m_1, ..., m_n);
+    a non-integral one raises NotDominant."""
     _require_affine(system)
     coords = tuple(coords)
     if len(coords) != system.rank + 1:
         raise IndexOutOfRange(
             f"expected {system.rank + 1} coordinates m_0..m_n, got {len(coords)}"
         )
-    m0, finite_fund = coords[0], coords[1:]
-    finite = system.root_coords(tuple(Fraction(c) for c in finite_fund))
-    level = m0 + sum(
-        c * m for c, m in zip(system.comarks[1:], finite_fund)
-    )
-    return AffineWeight(system, finite, int(level), Fraction(0))
+    exact = tuple(Fraction(c) for c in coords)
+    if any(c.denominator != 1 for c in exact):
+        raise NotDominant(f"affine weight {coords} is not dominant integral")
+    m0, *finite_fund = (c.numerator for c in exact)
+    finite = system.root_coords(finite_fund)
+    level = m0 + sum(map(mul, system.comarks[1:], finite_fund))
+    return AffineWeight(system, finite, level, Fraction(0))
 
 
 def basic_weight(system: RootSystem) -> AffineWeight:

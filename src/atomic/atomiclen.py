@@ -21,9 +21,8 @@ from .weyl import (
     WeylElement,
     dominant_orbit_size,
     group_order,
-    identity_element,
+    inversion_set_from_word,
     parabolic_order,
-    simple_reflection,
 )
 
 ORBIT_CAP = 2**27
@@ -83,20 +82,15 @@ class LambdaInversionSet:
 
 def lambda_inversion_set(system: RootSystem, word, lam: Weight) -> LambdaInversionSet:
     """Scaled inversion multiset { m_j * prefix(alpha_j) } along a reduced word."""
-    from .weyl import inversion_set_from_word
-
-    inversion_set_from_word(system, word)  # raises NotReduced when not reduced
-    prefix = identity_element(system)
+    roots = inversion_set_from_word(system, word)  # raises NotReduced when not reduced
     occurrences = {}
     entries = []
-    for letter in word:
+    for letter, root in zip(word, roots):
         occurrences[letter] = occurrences.get(letter, 0) + 1
-        root = prefix.act_root(system.simple_root(letter))
         m = lam.fund[letter - 1]
         entries.append(
             LambdaInvEntry(tuple(m * c for c in root), letter, occurrences[letter])
         )
-        prefix = prefix * simple_reflection(system, letter)
     return LambdaInversionSet(system.rank, tuple(entries), tuple(word))
 
 

@@ -10,25 +10,26 @@ i (residue of box (r, c) is (c - r) mod m, rows and columns 0-based) or,
 failing that, removing every removable box of residue i.  `residue_reflect`
 does this on the partition itself.
 
-The enumeration walks the same action on the m-abacus (James-Kerber): an
-m-core is one integer charge c_j per runner j = 0..m-1, summing to 0, with
-runner j holding beads at j + m*L for every L < c_j.  For i != 0, s_i swaps
-c_{i-1} and c_i and adds d = c_{i-1} - c_i boxes; s_0 sets c_0 = c_{m-1} + 1
-and c_{m-1} = c_0 - 1 and adds d = c_{m-1} - c_0 + 1 boxes (Garvan-Kim-
-Stanton).  A negative d removes -d boxes.  Every nonempty core has a residue
-that removes boxes; reaching each core only from its smallest such residue
-makes the walk a tree rooted at the empty core, so no core is visited twice
-and no seen set is kept.
+The (n+1)-cores are the orbit of Lambda_0 in type A_n~, and a core's size
+is its weight's depth (Garvan-Kim-Stanton), so `core_sizes` and
+`orbit_cores` are the tree walk of `weyl.orbit_depths` and
+`weyl.orbit_weights` on the affine Cartan matrix.  A weight with affine
+coordinates (m_0, ..., m_n) is the core with runner charges c_0..c_n on the
+(n+1)-abacus (James-Kerber; runner j holds beads at j + (n+1) L for every
+L < c_j) given by m_i = c_{i-1} - c_i for i >= 1 and charges summing to 0:
+s_i (i >= 1) swaps runners i-1 and i, s_0 swaps the last runner and the
+first across one level, and each adds m_i boxes of residue i when m_i > 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
-from .errors import InvalidModulus, NegativeBound, NotACore, SizeTooLarge
+from .affine import _certified_max, _level_one, affine_cartan, basic_weight, lattice_ball
+from .errors import InvalidModulus, InvariantViolation, NegativeBound, NotACore
 from .rootdata import root_system
-
-ORBIT_SIZE_CAP = 10**7
+from .weyl import orbit_depths, orbit_weights
 
 Partition = tuple[int, ...]
 
@@ -96,43 +97,14 @@ def residue_reflect(p, i: int, m: int) -> Partition:
     return check_partition(out)
 
 
-def _abacus_walk(m: int, max_size: int, cap: int):
-    """Yield (charges, size) for every m-core of size <= max_size, each once.
-
-    Depth-first over the adding reflections only: a child reached by s_i is
-    kept when i is its smallest residue that removes boxes, so it is reached
-    from exactly one parent, of smaller size.
-    """
-    if m < 2:
-        raise InvalidModulus(f"modulus n + 1 = {m} must be at least 2")
-    if max_size < 0:
-        raise NegativeBound(f"size bound {max_size} must be nonnegative")
-    last = m - 1
-    stack = [((0,) * m, 0)]
-    count = 0
-    while stack:
-        c, s = stack.pop()
-        count += 1
-        if count > cap:
-            raise SizeTooLarge(f"more than {cap} cores below size {max_size}")
-        yield c, s
-        room = max_size - s
-        d = c[last] - c[0] + 1
-        if 0 < d <= room:
-            # s_0 removes boxes from this child, and 0 is the smallest residue
-            stack.append(((c[last] + 1,) + c[1:last] + (c[0] - 1,), s + d))
-        # a child of s_i (i >= 1) removes no boxes below i iff child[:i] is
-        # nonincreasing and child[0] <= child[m-1] + 1; c[:k] is the longest
-        # nonincreasing prefix of c, and child[:i] = c[:i-1] + (c[i],)
-        k = 1
-        while k < m and c[k - 1] >= c[k]:
-            k += 1
-        for i in range(1, min(k + 2, m)):
-            d = c[i - 1] - c[i]
-            if 0 < d <= room and (i == 1 or c[i - 2] >= c[i]):
-                child = c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :]
-                if child[0] <= child[last] + 1:
-                    stack.append((child, s + d))
+def _charges(coords):
+    """Runner charges of the core at affine coordinates (m_0, ..., m_n):
+    c_0 - c_i = m_1 + ... + m_i, and the charges sum to 0."""
+    drops = tuple(accumulate(coords[1:], initial=0))
+    c0, rem = divmod(sum(drops), len(coords))
+    if rem:
+        raise InvariantViolation(f"runner charges of {coords} do not sum to 0")
+    return tuple(c0 - d for d in drops)
 
 
 def _partition(charges) -> Partition:
@@ -151,24 +123,26 @@ def _partition(charges) -> Partition:
     return tuple(part for part in parts if part > 0)
 
 
-def orbit_cores(n: int, max_size: int, cap=ORBIT_SIZE_CAP):
-    """All (n+1)-cores of size <= max_size, grouped by size.
+def _basic_orbit(n: int, max_size: int):
+    """The affine Cartan matrix of A_n~ and the coordinates of Lambda_0."""
+    if n < 1:
+        raise InvalidModulus(f"modulus n + 1 = {n + 1} must be at least 2")
+    if max_size < 0:
+        raise NegativeBound(f"size bound {max_size} must be nonnegative")
+    return affine_cartan(root_system(f"A{n}~")), (1,) + (0,) * n
 
-    Every core is reachable through cores of strictly smaller size, so
-    pruning the walk at max_size loses nothing.
-    """
+
+def orbit_cores(n: int, max_size: int):
+    """All (n+1)-cores of size <= max_size, grouped by size."""
     by_size: dict[int, list] = {}
-    for charges, size in _abacus_walk(n + 1, max_size, cap):
-        by_size.setdefault(size, []).append(_partition(charges))
+    for size, coords in orbit_weights(*_basic_orbit(n, max_size), max_size):
+        by_size.setdefault(size, []).append(_partition(_charges(coords)))
     return {size: sorted(lst) for size, lst in sorted(by_size.items())}
 
 
-def core_sizes(n: int, max_size: int, cap=ORBIT_SIZE_CAP):
+def core_sizes(n: int, max_size: int):
     """Map size -> number of (n+1)-cores of that size, for sizes <= max_size."""
-    counts: dict[int, int] = {}
-    for _, size in _abacus_walk(n + 1, max_size, cap):
-        counts[size] = counts.get(size, 0) + 1
-    return {size: counts[size] for size in sorted(counts)}
+    return orbit_depths(*_basic_orbit(n, max_size), max_size)
 
 
 def count_lattice_points(n: int, target: int):
@@ -183,8 +157,6 @@ def count_lattice_points(n: int, target: int):
 def lattice_value_histogram(n: int, max_target: int):
     """value -> lattice-point count for all values <= max_target, one sweep
     of `affine.lattice_ball`, capped by `affine.PROBE_CAP` points tried."""
-    from .affine import _certified_max, _level_one, basic_weight, lattice_ball
-
     system = root_system(f"A{n}~")
     # value = (hvee/2)|b|^2 - ht(b) >= (hvee/2)|b|^2 - c0 |b| with c0 = |h x0|;
     # bound the ball by solving the quadratic in |b| with padded constants.

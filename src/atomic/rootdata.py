@@ -318,10 +318,6 @@ class Weight:
     def height(self) -> Fraction:
         return sum(self.root, start=Fraction(0))
 
-    def __add__(self, other: "Weight") -> "Weight":
-        _same_system(self.system, other.system)
-        return Weight(self.system, tuple(a + b for a, b in zip(self.fund, other.fund)))
-
     def __sub__(self, other: "Weight") -> "Weight":
         _same_system(self.system, other.system)
         return Weight(self.system, tuple(a - b for a, b in zip(self.fund, other.fund)))

@@ -10,11 +10,16 @@ w^T G, read from the one stored matrix a vector at a time.  Words multiply
 by ordinary composition: the word [i1, i2, ..., ir] evaluates to
 s_{i1} o s_{i2} o ... o s_{ir}, i.e. the rightmost letter acts first.
 Equality and hashing go through the matrix, never through words.
+
+The orbit of a dominant weight, finite or untwisted affine, is walked as a
+tree in which each weight is reached from its smallest negative coordinate
+(`orbit_depths`, `orbit_weights`); `affine` and `cores` walk their orbits
+through it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from functools import lru_cache
 from operator import add, mul
 
@@ -368,22 +373,26 @@ def dominant_orbit_size(system: RootSystem, fund_coords) -> int:
     return group_order(system) // parabolic_order(system, zero)
 
 
-def _orbit_layers(cartan, start, max_depth):
-    """Yield (depth, bucket, unpack) over the orbit of a dominant weight, one
-    depth at a time up to max_depth; `unpack` turns a packed code of the
-    bucket back into fundamental coordinates.
+def _orbit_tree(cartan, start, max_depth):
+    """Yield (depth, packed code, unpack) for every weight of the orbit of a
+    dominant weight up to max_depth, each once; `unpack` turns a packed code
+    back into fundamental coordinates.
 
     `cartan[j][i]` is <alpha_i, alpha_j^vee> (finite, or untwisted affine
     with node 0 first) and `start` holds the fundamental coordinates.  The
     depth <lambda - mu, rho^vee> grows by c_i on each step mu -> s_i(mu)
-    with c_i = <mu, alpha_i^vee> > 0, and a weight's coordinates fix it, so
-    a bucket of one depth is complete when the walk reaches it: it is
-    expanded once and dropped, and no seen set is kept (the Tits cone walk;
-    Humphreys 1.10, Kac ch. 6).  Coordinates are packed as c + offset in
-    fields of one integer and s_i subtracts c_i times packed column i.
-    Every |a_ij| <= 4, so |c| <= max(start) + 4 max_depth <= offset, and
-    c > 0 exactly when the top bit of its field is set.  More than
-    ORBIT_WALK_CAP weights raise OrbitTooLarge.
+    with c_i = <mu, alpha_i^vee> > 0.  Every weight but lambda has a
+    negative coordinate, and reflecting in its smallest one steps back
+    towards lambda, so keeping a child s_i(mu) only when i is its smallest
+    node with a negative coordinate makes the walk a tree rooted at lambda
+    (minimal coset representatives; Humphreys 1.10, Kac ch. 6): depth
+    first, no seen set, and pruning at max_depth loses nothing, since a
+    parent is shallower than its child.  Coordinates are packed as
+    c + offset in fields of one integer and s_i subtracts c_i times packed
+    column i.  Every |a_ij| <= 4, so |c| <= max(start) + 4 max_depth <=
+    offset: c > 0 exactly when the top bit of its field is set, and c >= 0
+    when it is set after adding one to the field.  More than ORBIT_WALK_CAP
+    weights raise OrbitTooLarge.
     """
     if max_depth < 0:
         raise NegativeBound(f"depth bound {max_depth} must be nonnegative")
@@ -391,45 +400,51 @@ def _orbit_layers(cartan, start, max_depth):
     offset, mask = (1 << width - 1) - 1, (1 << width) - 1
     shifts = range(0, len(start) * width, width)
     nodes = tuple(
-        (1 << s + width - 1, s, sum(cartan[j][i] << t for j, t in enumerate(shifts)))
+        (
+            1 << s + width - 1,
+            s,
+            sum(cartan[j][i] << t for j, t in enumerate(shifts)),
+            sum(1 << t for t in shifts[:i]),
+            sum(1 << t + width - 1 for t in shifts[:i]),
+        )
         for i, s in enumerate(shifts)
     )
 
     def unpack(code):
         return tuple(((code >> s) & mask) - offset for s in shifts)
 
-    buckets = defaultdict(set)
-    buckets[0].add(sum((c + offset) << s for c, s in zip(start, shifts)))
+    stack = [(sum((c + offset) << s for c, s in zip(start, shifts)), 0)]
     states = 0
-    while buckets:
-        depth = min(buckets)
-        bucket = buckets.pop(depth)
-        states += len(bucket)
+    while stack:
+        code, depth = stack.pop()
+        states += 1
         if states > ORBIT_WALK_CAP:
             raise OrbitTooLarge(f"orbit has more than {ORBIT_WALK_CAP} weights")
-        yield depth, bucket, unpack
+        yield depth, code, unpack
         room = max_depth - depth
-        for code in bucket:
-            for top_bit, s, column in nodes:
-                if code & top_bit:
-                    c = ((code >> s) & mask) - offset
-                    if c <= room:
-                        buckets[depth + c].add(code - c * column)
+        for top_bit, s, column, ones, tops in nodes:
+            if code & top_bit:
+                c = ((code >> s) & mask) - offset
+                if c <= room:
+                    child = code - c * column
+                    if (child + ones) & tops == tops:
+                        stack.append((child, depth + c))
 
 
 def orbit_depths(cartan, start, max_depth):
     """{depth: count} over the orbit of a dominant weight, up to max_depth,
-    by the graded walk of `_orbit_layers`."""
-    layers = _orbit_layers(cartan, start, max_depth)
-    return {depth: len(bucket) for depth, bucket, _ in layers}
+    in increasing depth, by the tree walk of `_orbit_tree`."""
+    counts: dict[int, int] = {}
+    for depth, _, _ in _orbit_tree(cartan, start, max_depth):
+        counts[depth] = counts.get(depth, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def orbit_weights(cartan, start, max_depth):
     """Yield (depth, fundamental coordinates) for every weight of the orbit
-    of a dominant weight up to max_depth, by the same graded walk."""
-    for depth, bucket, unpack in _orbit_layers(cartan, start, max_depth):
-        for code in bucket:
-            yield depth, unpack(code)
+    of a dominant weight up to max_depth, each once, by the same walk."""
+    for depth, code, unpack in _orbit_tree(cartan, start, max_depth):
+        yield depth, unpack(code)
 
 
 def reduced_words(w: WeylElement):

@@ -281,6 +281,13 @@ def test_affine_weight_constructor():
     assert lam.level == 1 and lam.m0 == 0
     with pytest.raises(IndexOutOfRange):
         affine_weight(a2, (1, 0))
+    assert affine_weight(a2, (Fraction(2, 2), 0, 0)) == basic_weight(a2)
+    # a non-integral coordinate is refused, not truncated into the level
+    a1 = root_system("A1~")
+    with pytest.raises(NotDominant, match=r"affine weight \(Fraction\(1, 2\), 0\)"):
+        affine_weight(a1, (Fraction(1, 2), 0))
+    with pytest.raises(NotDominant):
+        affine_weight(a1, (1.5, 0))
 
 
 def test_translation_lattice():

@@ -1,6 +1,7 @@
 import pytest
 
-from atomic.errors import InvalidModulus, NegativeBound, NotACore, SizeTooLarge
+from atomic import weyl
+from atomic.errors import InvalidModulus, NegativeBound, NotACore, OrbitTooLarge
 from atomic.fixtures import THREE_CORE_SIZES
 from atomic.cores import (
     beta_numbers,
@@ -180,18 +181,22 @@ def test_four_core_full_range():
     assert set(sizes) == set(range(31))
 
 
-def test_orbit_cap():
-    with pytest.raises(SizeTooLarge):
-        orbit_cores(2, 100, cap=10)
-    with pytest.raises(SizeTooLarge):
-        core_sizes(3, 10**18, cap=1000)
-    # cap counts the cores visited: seven 3-cores have size <= 5
-    assert sum(core_sizes(2, 5, cap=7).values()) == 7
-    with pytest.raises(SizeTooLarge):
-        core_sizes(2, 5, cap=6)
+def test_orbit_cap(monkeypatch):
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 10)
+    with pytest.raises(OrbitTooLarge):
+        orbit_cores(2, 100)
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 1000)
+    with pytest.raises(OrbitTooLarge):
+        core_sizes(3, 10**18)
+    # the cap counts the cores visited: seven 3-cores have size <= 5
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 7)
+    assert sum(core_sizes(2, 5).values()) == 7
+    monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 6)
+    with pytest.raises(OrbitTooLarge):
+        core_sizes(2, 5)
     with pytest.raises(InvalidModulus):
         orbit_cores(0, 5)
-    with pytest.raises(NegativeBound):
+    with pytest.raises(NegativeBound, match="size bound -1"):
         orbit_cores(2, -1)
 
 
@@ -240,17 +245,22 @@ def _reflect_charges(c, i):
 
 
 def test_abacus_walk_matches_residue_reflect():
-    from atomic.cores import _abacus_walk, _partition
+    from atomic.affine import affine_cartan
+    from atomic.cores import _charges, _partition
+    from atomic.rootdata import root_system
 
     for m in range(2, 7):
+        cartan = affine_cartan(root_system(f"A{m - 1}~"))
         seen = set()
-        for c, size in _abacus_walk(m, 20, 10**6):
+        for size, coords in weyl.orbit_weights(cartan, (1,) + (0,) * (m - 1), 20):
+            c = _charges(coords)
             assert c not in seen and sum(c) == 0, (m, c)
             seen.add(c)
             p = _partition(c)
             assert sum(p) == size and is_core(p, m), (m, c)
             for i in range(m):
                 child, d = _reflect_charges(c, i)
+                assert d == coords[i], (m, c, i)
                 q = _partition(child)
                 assert q == residue_reflect(p, i, m), (m, c, i)
                 assert sum(q) == size + d, (m, c, i)

@@ -4,16 +4,18 @@
 (m_0, m_1, ..., m_n).  The reference below walks `AffineWeight` values
 through `affine.weight_reflect` instead, keyed by finite part and delta
 coefficient, with a set of every weight seen.  The finite walk is compared
-with the parabolic recursion in `test_parabolic.py`.
+with the parabolic recursion in `test_parabolic.py`; here its weights are
+counted against the orbit size |W| / |W_I|.
 """
 
 import pytest
 
 from atomic import weyl
-from atomic.affine import affine_weight, orbit_depth_histogram, weight_reflect
+from atomic.affine import affine_cartan, affine_weight, orbit_depth_histogram, weight_reflect
 from atomic.errors import NegativeBound, OrbitTooLarge
 from atomic.rootdata import root_system
-from atomic.weyl import orbit_depths
+from atomic.weyl import dominant_orbit_size, orbit_depths, orbit_weights
+from test_parabolic import ALL_TYPES_TO_RANK_8, top_value
 
 
 def reference_depths(lam, max_depth):
@@ -50,6 +52,22 @@ def test_affine_walk_matches_reference(label, max_depth):
         hist = orbit_depth_histogram(system, lam, max_depth)
         assert hist == reference_depths(lam, max_depth), (label, head)
         assert max(hist) <= max_depth
+        # orbit_weights yields each weight once: as many as the seen-set walk
+        start = (lam.m0,) + lam.fund
+        walked = [mu for _, mu in orbit_weights(affine_cartan(system), start, max_depth)]
+        assert len(set(walked)) == len(walked) == sum(hist.values()), (label, head)
+
+
+@pytest.mark.parametrize(
+    "spec", [t for t in ALL_TYPES_TO_RANK_8 if root_system(t).rank <= 6]
+)
+def test_finite_walk_yields_each_weight_once(spec):
+    system = root_system(spec)
+    for lam in (system.rho, system.fundamental_weight(1)):
+        top = top_value(system, lam)
+        weights = [mu for _, mu in orbit_weights(system.cartan, lam.fund, top)]
+        assert len(set(weights)) == len(weights), (spec, lam)
+        assert len(weights) == dominant_orbit_size(system, lam.fund), (spec, lam)
 
 
 def test_packing_stays_exact_in_a1_affine():
