@@ -11,13 +11,16 @@ where x0 is the interior alcove point with (alpha_i | x0) = 1/h; then
 (alpha | x0) = ht(alpha)/h lies strictly between 0 and 1 for every positive
 root.
 
-The hot paths run on exact integers.  With G = D (d_i a_ij) the integer
-Gram matrix of `rootdata` and den the common denominator of a weight's
-finite part (den = 1 for Lambda_0), the affine atomic length, the probe and
-the level-one values are computed in units of 1/(2 D den): each is an
-integer numerator, divided once at the end, where its integrality is
-checked.  Shi coefficients are one floor division in units of 1/(N D) of a
-single forward image of the scaled alcove point N x0.
+An affine weight is stored by its integer coordinates (m_0, m_1, ..., m_n)
+on the fundamental weights Lambda_i and its delta coefficient; s_i lowers
+them by m_i times column i of the affine Cartan matrix.  The hot paths run
+on exact integers.  With G = D (d_i a_ij) the integer Gram matrix of
+`rootdata` and den = S its weight scale (S times a finite part is
+integral), the affine atomic length, the probe and the level-one values are
+computed in units of 1/(2 D den): each is an integer numerator, divided
+once at the end, where its integrality is checked.  Shi coefficients are
+one floor division in units of 1/(N D) of a single forward image of the
+scaled alcove point N x0.
 
 The probe and the lattice counts of `cores` share one generator,
 `lattice_ball`: Fincke-Pohst enumeration on an integer LDL^T of the basis
@@ -43,7 +46,7 @@ from .errors import (
     NotDominant,
     RadiusTooLarge,
 )
-from .rootdata import RootSystem
+from .rootdata import RootSystem, integral_coords
 from .weyl import (
     WeylElement,
     group_order,
@@ -62,96 +65,84 @@ def _require_affine(system: RootSystem):
         raise InvalidType(f"{system.label} is not an affine label")
 
 
-def _exact(num: int, den: int):
-    """num/den as an int when it divides, else as a Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
-
-
 @dataclass(frozen=True)
 class AffineWeight:
-    """A level-ell weight: finite part (simple-root coordinates), level, and
-    delta coefficient.
+    """The weight sum_i m_i Lambda_i + z delta, stored as its integer
+    coordinates coords = (m_0, m_1, ..., m_n) and z = `delta_coeff`.
 
-    Everything else is derived once, when the weight is built: the common
-    denominator `den` of the finite part and the integer vector
-    `num = den * finite`, the fundamental coordinates `fund` (m_1..m_n),
-    m_0, and whether the weight is dominant integral.
+    The coordinates are converted to `int` once, here; a non-integral one
+    raises NotDominant.  Derived once: the level sum_i comark_i m_i and
+    `num` = S * finite part in simple-root coordinates, with `den` = S =
+    `weight_scale`.  `m0`, `fund` (m_1..m_n) and `finite` are views.
     """
 
     system: RootSystem
-    finite: tuple[Fraction, ...]
-    level: int
-    delta_coeff: Fraction = Fraction(0)
-    den: int = field(init=False, repr=False, compare=False)
+    coords: tuple[int, ...]
+    delta_coeff: int = 0
+    level: int = field(init=False, repr=False, compare=False)
     num: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    fund: tuple = field(init=False, repr=False, compare=False)
-    m0: int | Fraction = field(init=False, repr=False, compare=False)
-    _dominant_integral: bool = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         system = self.system
-        den = math.lcm(*(c.denominator for c in self.finite))
-        num = tuple(c.numerator * (den // c.denominator) for c in self.finite)
-        fund_num = tuple(sum(map(mul, row, num)) for row in system.cartan)
-        # m_0 = level - <finite, theta^vee>, theta^vee = sum comark_i alpha_i^vee
-        m0_num = self.level * den - sum(map(mul, system.comarks[1:], fund_num))
-        coords = fund_num + (m0_num,)
+        coords = integral_coords(self.coords, "affine weight")
         put = object.__setattr__
-        put(self, "den", den)
-        put(self, "num", num)
-        put(self, "fund", tuple(_exact(f, den) for f in fund_num))
-        put(self, "m0", _exact(m0_num, den))
-        put(self, "_dominant_integral", all(c >= 0 and c % den == 0 for c in coords))
+        put(self, "coords", coords)
+        put(self, "level", sum(map(mul, system.comarks, coords)))
+        put(self, "num", system.scaled_root_coords(coords[1:]))
+        put(self, "den", system.weight_scale)
+
+    @property
+    def m0(self) -> int:
+        return self.coords[0]
+
+    @property
+    def fund(self) -> tuple[int, ...]:
+        return self.coords[1:]
+
+    @property
+    def finite(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_dominant_integral(self) -> bool:
-        return self._dominant_integral
+        return all(c >= 0 for c in self.coords)
 
     def require_dominant_integral(self):
         if not self.is_dominant_integral():
-            raise NotDominant(f"affine weight {self} is not dominant integral")
+            raise NotDominant(f"affine weight {self.coords} is not dominant integral")
 
     def __repr__(self):
-        fund = tuple(Fraction(c) for c in self.fund)  # printed as exact rationals
-        return f"AffineWeight(fund={fund}, level={self.level}, z={self.delta_coeff})"
+        return f"AffineWeight(coords={self.coords}, z={self.delta_coeff})"
 
 
 def affine_weight(system: RootSystem, coords) -> AffineWeight:
-    """Build a weight from affine fundamental coordinates (m_0, m_1, ..., m_n);
-    a non-integral one raises NotDominant."""
+    """Build a weight from affine fundamental coordinates (m_0, m_1, ..., m_n)."""
     _require_affine(system)
     coords = tuple(coords)
     if len(coords) != system.rank + 1:
         raise IndexOutOfRange(
             f"expected {system.rank + 1} coordinates m_0..m_n, got {len(coords)}"
         )
-    exact = tuple(Fraction(c) for c in coords)
-    if any(c.denominator != 1 for c in exact):
-        raise NotDominant(f"affine weight {coords} is not dominant integral")
-    m0, *finite_fund = (c.numerator for c in exact)
-    finite = system.root_coords(finite_fund)
-    level = m0 + sum(map(mul, system.comarks[1:], finite_fund))
-    return AffineWeight(system, finite, level, Fraction(0))
+    return AffineWeight(system, coords)
 
 
 def basic_weight(system: RootSystem) -> AffineWeight:
     """The level-one weight with trivial finite part (Lambda_0)."""
     _require_affine(system)
-    return AffineWeight(system, (0,) * system.rank, 1, 0)
+    return AffineWeight(system, (1,) + (0,) * system.rank)
 
 
 class AffineElement:
     """Pair (beta, wbar) acting on the finite coordinate space as
     x -> wbar(x) + beta."""
 
-    __slots__ = ("system", "beta", "fbar", "word")
+    __slots__ = ("system", "beta", "fbar")
 
-    def __init__(self, system: RootSystem, beta, fbar: WeylElement, word=None):
+    def __init__(self, system: RootSystem, beta, fbar: WeylElement):
         _require_affine(system)
         self.system = system
         self.beta = tuple(beta)
         self.fbar = fbar
-        self.word = tuple(word) if word is not None else None
 
     def __eq__(self, other):
         return (
@@ -170,12 +161,7 @@ class AffineElement:
         beta = tuple(
             s + t for s, t in zip(self.fbar.act_root(other.beta), self.beta)
         )
-        word = (
-            self.word + other.word
-            if self.word is not None and other.word is not None
-            else None
-        )
-        return AffineElement(self.system, beta, fbar, word)
+        return AffineElement(self.system, beta, fbar)
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.beta) and self.fbar.is_identity()
@@ -195,7 +181,7 @@ class AffineElement:
 
 def affine_identity(system: RootSystem) -> AffineElement:
     _require_affine(system)
-    return AffineElement(system, (0,) * system.rank, identity_element(system), ())
+    return AffineElement(system, (0,) * system.rank, identity_element(system))
 
 
 def affine_generator(system: RootSystem, i: int) -> AffineElement:
@@ -204,9 +190,9 @@ def affine_generator(system: RootSystem, i: int) -> AffineElement:
         raise IndexOutOfRange(f"affine index {i} outside 0..{system.rank}")
     if i == 0:
         theta = system.highest_root
-        return AffineElement(system, theta, root_reflection(system, theta), (0,))
+        return AffineElement(system, theta, root_reflection(system, theta))
     zero = (0,) * system.rank
-    return AffineElement(system, zero, simple_reflection(system, i), (i,))
+    return AffineElement(system, zero, simple_reflection(system, i))
 
 
 def affine_from_word(system: RootSystem, word) -> AffineElement:
@@ -226,18 +212,15 @@ def embed_finite(system: RootSystem, wbar: WeylElement) -> AffineElement:
 
 
 def weight_reflect(mu: AffineWeight, i: int) -> AffineWeight:
-    """Apply s_i (0 <= i <= n) to an affine weight."""
+    """Apply s_i (0 <= i <= n) to an affine weight: mu - m_i alpha_i, where
+    alpha_i has the coordinates of column i of `affine_cartan`, and
+    alpha_0 = delta - theta also lowers the delta coefficient by m_0."""
     system = mu.system
     if not 0 <= i <= system.rank:
         raise IndexOutOfRange(f"affine index {i} outside 0..{system.rank}")
-    if i == 0:
-        m0 = mu.m0
-        theta = system.highest_root
-        finite = tuple(c + m0 * t for c, t in zip(mu.finite, theta))
-        return AffineWeight(system, finite, mu.level, mu.delta_coeff - m0)
-    finite = list(mu.finite)
-    finite[i - 1] -= mu.fund[i - 1]
-    return AffineWeight(system, tuple(finite), mu.level, mu.delta_coeff)
+    m = mu.coords[i]
+    coords = tuple(c - m * row[i] for c, row in zip(mu.coords, affine_cartan(system)))
+    return AffineWeight(system, coords, mu.delta_coeff - (m if i == 0 else 0))
 
 
 def act_word_on_weight(system: RootSystem, word, mu: AffineWeight) -> AffineWeight:
@@ -252,7 +235,7 @@ def _act_scaled(w: AffineElement, mu: AffineWeight):
 
     tau_beta(nu) = nu + level*beta - ((nu|beta) + |beta|^2 level / 2) delta.
     Returns den * (finite part of w(mu)) and the drop of the delta
-    coefficient in units of 1/(2 D den), den being mu's denominator.
+    coefficient in units of 1/(2 D den), den = S being mu's scale.
     """
     g = w.system.scaled_inner_product
     beta, shift = w.beta, mu.den * mu.level
@@ -262,12 +245,18 @@ def _act_scaled(w: AffineElement, mu: AffineWeight):
 
 
 def act_element_on_weight(w: AffineElement, mu: AffineWeight) -> AffineWeight:
-    """Action through the (beta, wbar) form and the translation formula."""
+    """Action through the (beta, wbar) form and the translation formula,
+    read back as coordinates: m_j = <finite, alpha_j^vee> for j >= 1 and
+    m_0 = level - <finite, theta^vee>."""
     system = w.system
     num, drop = _act_scaled(w, mu)
-    finite = tuple(_exact(c, mu.den) for c in num)
-    z = mu.delta_coeff - _exact(drop, 2 * system.gram_scale * mu.den)
-    return AffineWeight(system, finite, mu.level, z)
+    fund = tuple(
+        _unscale(sum(map(mul, row, num)), mu.den, "fundamental coordinate")
+        for row in system.cartan
+    )
+    m0 = mu.level - sum(map(mul, system.comarks[1:], fund))
+    z = mu.delta_coeff - _unscale(drop, 2 * system.gram_scale * mu.den, "delta drop")
+    return AffineWeight(system, (m0,) + fund, z)
 
 
 # -- Shi coefficients -------------------------------------------------------
@@ -442,6 +431,7 @@ def affine_decomposition_check(w: AffineElement, lam: AffineWeight) -> bool:
     return two_d * lam.den * affine_atomic_length(w, lam) == rhs
 
 
+@cache
 def affine_cartan(system: RootSystem):
     """The untwisted affine Cartan matrix, node 0 first: alpha_0 = delta - theta
     gives a_0j = -sum_i comark_i a_ij and a_i0 = -sum_k a_ik theta_k."""
@@ -458,7 +448,7 @@ def orbit_depth_histogram(system: RootSystem, lam: AffineWeight, max_depth: int)
     """
     _require_affine(system)
     lam.require_dominant_integral()
-    return orbit_depths(affine_cartan(system), (lam.m0,) + lam.fund, max_depth)
+    return orbit_depths(affine_cartan(system), lam.coords, max_depth)
 
 
 # -- translation lattice and image probe ------------------------------------
@@ -480,7 +470,7 @@ def translation_lattice_basis(system: RootSystem):
     return tuple(basis)
 
 
-def lattice_ball(system: RootSystem, norm_bound, cap=None):
+def lattice_ball(system: RootSystem, norm_bound):
     """Yield (beta, beta^T G beta) for every translation-lattice vector beta
     with |beta|^2 <= norm_bound, each once; return the number of lattice
     points tried.
@@ -490,11 +480,10 @@ def lattice_ball(system: RootSystem, norm_bound, cap=None):
     Fractions, is scaled to K Q(x) = sum_i W_i (e_i x_i + u_i)^2 with integers
     W_i, e_i and integer forms u_i = sum_{j>i} E_ij x_j.  With budget B left
     by x_{n-1}, ..., x_{i+1}, x_i runs over |e_i x_i + u_i| <= isqrt(B // W_i).
-    Every point tried, at every level, counts against `cap` (default
-    PROBE_CAP); past it RadiusTooLarge is raised.
+    Every point tried, at every level, counts against PROBE_CAP, read at
+    each call; past it RadiusTooLarge is raised.
     """
     _require_affine(system)
-    cap = PROBE_CAP if cap is None else cap
     n = system.rank
     scales = [row[i] for i, row in enumerate(translation_lattice_basis(system))]
     q = [
@@ -531,9 +520,9 @@ def lattice_ball(system: RootSystem, norm_bound, cap=None):
         if hi < lo:
             return
         tried += hi - lo + 1
-        if tried > cap:
+        if tried > PROBE_CAP:
             raise RadiusTooLarge(
-                f"more than {cap} lattice points tried for |beta|^2 <= {norm_bound}"
+                f"more than {PROBE_CAP} lattice points tried for |beta|^2 <= {norm_bound}"
             )
         if i:
             for xi in range(lo, hi + 1):
@@ -600,7 +589,7 @@ class AffineProbeReport:
 
 
 def affine_image_probe(
-    system: RootSystem, lam: AffineWeight, radius: int, cap=None
+    system: RootSystem, lam: AffineWeight, radius: int
 ) -> AffineProbeReport:
     """Values of the affine atomic length over a certified search ball.
 
@@ -608,14 +597,13 @@ def affine_image_probe(
     which integers in [0, certified_max] are attained; the certificate says
     no element outside the ball can take a value below that threshold.
     `searched` counts the group elements wbar . tau valued, |W| per lattice
-    point away from Lambda_0.  `cap` bounds the lattice points tried
-    (default PROBE_CAP).
+    point away from Lambda_0.  PROBE_CAP bounds the lattice points tried.
     """
     _require_affine(system)
     lam.require_dominant_integral()
     if radius < 0:
         raise NegativeBound(f"radius {radius} must be nonnegative")
-    ball = lattice_ball(system, radius, cap)
+    ball = lattice_ball(system, radius)
     hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
 
     lnum = lam.num

@@ -168,7 +168,11 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
         """The split node p (a position in nodes) with the fewest cosets,
         the Cartan columns on nodes, and the orbit of omega_p as a tree:
         one (parent, i, rows) per coset representative u = s_i u_parent,
-        rows holding u(alpha_j) for j in J' in simple-root coordinates."""
+        rows holding u(alpha_j) for j in J' in simple-root coordinates.
+        As in `weyl._orbit_tree`, s_i(u_parent) is kept only when i is its
+        smallest node with a negative coordinate, so each representative
+        has one parent and no seen set is needed; parents precede their
+        children in the list."""
         if nodes in plans:
             return plans[nodes]
         m = len(nodes)
@@ -178,13 +182,11 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
         rows = tuple(tuple(int(a == j) for a in range(m)) for j in range(m) if j != p)
         tree = [(None, None, rows)]
         points = [start]
-        seen = {start}
         for index, point in enumerate(points):
             for i in range(m):
                 if point[i] > 0:
                     nxt = tuple(x - point[i] * y for x, y in zip(point, cols[i]))
-                    if nxt not in seen:
-                        seen.add(nxt)
+                    if all(c >= 0 for c in nxt[:i]):  # nxt[i] < 0
                         points.append(nxt)
                         row = [cartan[nodes[i]][b] for b in nodes]
                         parent_rows = tree[index][2]
@@ -292,7 +294,7 @@ class IdealReport:
     image: ImageReport | None
 
 
-def is_ideal(system: RootSystem, lam: Weight, cap=ORBIT_CAP) -> IdealReport:
+def is_ideal(system: RootSystem, lam: Weight) -> IdealReport:
     """Whether the lambda-atomic length attains every value in [0, max].
 
     A dominant weight whose coordinates are all at least 2 can never attain
@@ -301,7 +303,7 @@ def is_ideal(system: RootSystem, lam: Weight, cap=ORBIT_CAP) -> IdealReport:
     lam.require_dominant_integral()
     if all(c >= 2 for c in lam.fund) and any(c > 0 for c in lam.fund):
         return IdealReport(False, "no coordinate equals 1", None)
-    report = image_set(system, lam, cap)
+    report = image_set(system, lam)
     if report.surjective:
         return IdealReport(True, "full interval", report)
     return IdealReport(False, "gaps in value range", report)

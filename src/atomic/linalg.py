@@ -1,16 +1,16 @@
-"""Small exact linear algebra over Fractions.
+"""Small exact linear algebra.
 
 Everything here operates on tuples of tuples (rows) and stays exact; the
-matrices involved never exceed rank 8, so no attempt is made to be clever.
-These routines serve set-up work done once per root system (the inverse
-Cartan matrix, coordinates of classical roots).  The group and affine hot
-paths run on the scaled integer forms of `rootdata` instead; a Weyl
-element's inverse comes from the invariant form (`weyl`).
+matrices involved are small, so no attempt is made to be clever.  These
+routines serve set-up work done once per root system: the
+integer determinant and adjugate of the Cartan matrix, from which `rootdata`
+scales its inverse to integers, and the coordinates of classical roots.
+The group and affine hot paths run on the scaled integer forms of
+`rootdata` instead; a Weyl element's inverse comes from the invariant form
+(`weyl`).
 """
 
 from fractions import Fraction
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def mat_vec(rows, v):
@@ -18,23 +18,32 @@ def mat_vec(rows, v):
     return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in rows)
 
 
-def mat_inv(rows) -> Matrix:
-    """Inverse by Gauss-Jordan elimination; raises on singular input."""
+def adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det A, adj A) of an integer matrix, by fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968) on [A | I].
+
+    Step k replaces every other row r by (p r - a_rk row_k) / p', p the
+    pivot a_kk and p' the previous pivot; the division is exact, and the
+    pivot of step k is the k-th leading principal minor.  At the end the
+    left block is det A times I and the right block adj A.  There is no
+    pivoting: a zero leading minor raises ZeroDivisionError.  Every leading
+    minor of a Cartan matrix is the determinant of a Cartan matrix, hence
+    positive.
+    """
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot_row = aug[k]
+        p = pivot_row[k]
+        if p == 0:
+            raise ZeroDivisionError(f"leading minor {k + 1} vanishes")
+        for r, row in enumerate(aug):
+            if r != k:
+                f = row[k]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in aug)
 
 
 def solve_columns(columns, target):

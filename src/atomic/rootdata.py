@@ -2,8 +2,9 @@
 
 Conventions follow the Bourbaki planches: simple roots are numbered so that
 B_n/C_n have their short/long root at node n, D_n forks at nodes n-1 and n,
-and E_n attaches node 2 to node 4 of the chain 1-3-4-5-...  All vectors are
-stored in simple-root coordinates; the bilinear form is normalised so that
+and E_n attaches node 2 to node 4 of the chain 1-3-4-5-...  Roots and
+group elements live in simple-root coordinates; weights are stored by their
+integer fundamental coordinates.  The bilinear form is normalised so that
 the highest root theta has (theta|theta) equal to 2.
 
 The form is kept as one integer Gram matrix G = D (d_i a_ij), where d is the
@@ -11,8 +12,10 @@ symmetrizer and D the common denominator of its entries (1 in the
 simply-laced types, 2 in B, C and F, 3 in G), so x^T G y = D (x|y).  Hot
 paths work with these scaled integers and divide by D (or 2D) once, at the
 end; `inner_product` is that single division.  Weights, whose simple-root
-coordinates are rational, are scaled likewise by S, the common denominator
-of the inverse Cartan matrix (`scaled_root_coords`).
+coordinates are rational, are scaled likewise by S, the least common
+denominator of the inverse Cartan matrix: S A^{-1} is built once, in
+integers, from the determinant and adjugate of A (`linalg.adjugate`), and
+`scaled_root_coords` is one product with it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
-from .linalg import mat_inv, mat_vec, solve_columns
+from .linalg import adjugate, mat_vec, solve_columns
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -115,7 +118,6 @@ class RootSystem:
         n = label.rank
         self.rank = n
         self.cartan = cartan_matrix(label.family, n)
-        self.cartan_inv = mat_inv(self.cartan)
 
         self.positive_roots = self._generate_positive_roots()
         self._positive_set = frozenset(self.positive_roots)
@@ -133,16 +135,14 @@ class RootSystem:
             tuple(_scale(d, self.gram_scale) * a for a in row)
             for d, row in zip(self.symmetrizer, self.cartan)
         )
-        self.weight_scale = math.lcm(
-            *(c.denominator for row in self.cartan_inv for c in row)
-        )
-        self._scaled_cartan_inv = tuple(
-            tuple(_scale(c, self.weight_scale) for c in row) for row in self.cartan_inv
-        )
+        # A^{-1} = adj A / det A; dividing both by their gcd g leaves the
+        # least S = det A / g with S A^{-1} integral.
+        det, adj = adjugate(self.cartan)
+        g = math.gcd(det, *(c for row in adj for c in row))
+        self.weight_scale = det // g
+        self._scaled_cartan_inv = tuple(tuple(c // g for c in row) for row in adj)
         # rho in the simple-root basis; its fundamental coordinates are all 1.
-        self.rho_coords = tuple(
-            sum(self.cartan_inv[i][j] for j in range(n)) for i in range(n)
-        )
+        self.rho_coords = self.root_coords((1,) * n)
         self.marks = (1,) + self.highest_root
         self.comarks = (1,) + tuple(
             _as_int(d * c) for d, c in zip(self.symmetrizer, self.highest_root)
@@ -212,8 +212,10 @@ class RootSystem:
         return mat_vec(self.cartan, root_coords)
 
     def root_coords(self, fund_coords):
-        """Simple-root coordinates of a vector given in the fundamental basis."""
-        return mat_vec(self.cartan_inv, fund_coords)
+        """Simple-root coordinates of a vector given in the fundamental basis,
+        as Fractions: `scaled_root_coords` divided by S once."""
+        scale = self.weight_scale
+        return tuple(Fraction(c, scale) for c in self.scaled_root_coords(fund_coords))
 
     def scaled_root_coords(self, fund_coords):
         """S times the simple-root coordinates, S = `weight_scale`; integral
@@ -280,6 +282,14 @@ def _scale(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
+def integral_coords(coords, what: str) -> tuple[int, ...]:
+    """The coordinates as ints; a non-integral one raises NotDominant."""
+    exact = tuple(Fraction(c) for c in coords)
+    if any(c.denominator != 1 for c in exact):
+        raise NotDominant(f"{what} {coords} is not dominant integral")
+    return tuple(c.numerator for c in exact)
+
+
 def _as_int(x) -> int:
     f = Fraction(x)
     if f.denominator != 1:
@@ -299,10 +309,7 @@ class Weight:
     fund: tuple[int, ...]
 
     def __post_init__(self):
-        fund = tuple(Fraction(c) for c in self.fund)
-        if any(c.denominator != 1 for c in fund):
-            raise NotDominant(f"weight {self.fund} is not dominant integral")
-        object.__setattr__(self, "fund", tuple(c.numerator for c in fund))
+        object.__setattr__(self, "fund", integral_coords(self.fund, "weight"))
 
     @property
     def root(self) -> tuple[Fraction, ...]:
@@ -314,9 +321,6 @@ class Weight:
     def require_dominant_integral(self):
         if not self.is_dominant():
             raise NotDominant(f"weight {self.fund} is not dominant integral")
-
-    def height(self) -> Fraction:
-        return sum(self.root, start=Fraction(0))
 
     def __sub__(self, other: "Weight") -> "Weight":
         _same_system(self.system, other.system)

@@ -315,11 +315,11 @@ def longest_element(system: RootSystem) -> WeylElement:
             return w
 
 
-def enumerate_group(system: RootSystem, generators=None, cap=GROUP_ENUMERATION_CAP):
+def enumerate_group(system: RootSystem, generators=None):
     """All elements of the group generated by `generators` (default: all s_i).
 
-    Deterministic BFS over the Cayley graph; raises SubgroupTooLarge past the
-    cap.
+    Deterministic BFS over the Cayley graph; raises SubgroupTooLarge past
+    GROUP_ENUMERATION_CAP elements, read at each call.
     """
     if generators is None:
         generators = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
@@ -331,8 +331,8 @@ def enumerate_group(system: RootSystem, generators=None, cap=GROUP_ENUMERATION_C
         for g in generators:
             x = w * g
             if x not in seen:
-                if len(seen) >= cap:
-                    raise SubgroupTooLarge(f"more than {cap} elements")
+                if len(seen) >= GROUP_ENUMERATION_CAP:
+                    raise SubgroupTooLarge(f"more than {GROUP_ENUMERATION_CAP} elements")
                 seen.add(x)
                 queue.append(x)
     return seen
@@ -474,10 +474,9 @@ class ReflectionSubgroup:
     reflection.
     """
 
-    def __init__(self, system: RootSystem, generators, cap=GROUP_ENUMERATION_CAP):
+    def __init__(self, system: RootSystem, generators):
         self.system = system
         self.generators = tuple(generators)
-        self.cap = cap
         gen_roots = [reflection_root(system, t) for t in self.generators]
 
         # Close the generating roots under mutual reflection.  Processing a
@@ -518,9 +517,7 @@ class ReflectionSubgroup:
 
     def elements(self):
         if self._elements is None:
-            self._elements = enumerate_group(
-                self.system, self.simple_reflections, self.cap
-            )
+            self._elements = enumerate_group(self.system, self.simple_reflections)
         return self._elements
 
     def inversion_set_in_subgroup(self, w: WeylElement):
@@ -592,11 +589,9 @@ def a_decomposition(w: WeylElement, sub: ReflectionSubgroup):
     return w_a, rest
 
 
-def utopic_check(w: WeylElement, sub: ReflectionSubgroup, cap=GROUP_ENUMERATION_CAP) -> bool:
+def utopic_check(w: WeylElement, sub: ReflectionSubgroup) -> bool:
     """Whether x -> (w x)_A is a bijection from w W_A w^{-1} onto W_A."""
     elements = sub.elements()
-    if len(elements) > cap:
-        raise SubgroupTooLarge(f"|W_A| = {len(elements)} exceeds cap {cap}")
     w_inv = w.inverse()
     images = set()
     for t in elements:

@@ -174,7 +174,7 @@ def test_weight_action_dual_paths():
 
 def test_finite_action_embeds():
     a2 = root_system("A2~")
-    lam = AffineWeight(a2, a2.root_coords((1, 2)), 0, Fraction(0))
+    lam = AffineWeight(a2, (-3, 1, 2))  # level 0, finite part omega_1 + 2 omega_2
     for wbar in enumerate_group(a2):
         image = act_element_on_weight(embed_finite(a2, wbar), lam)
         assert image.level == 0 and image.delta_coeff == 0
@@ -192,11 +192,11 @@ def test_affine_atomic_length_table():
 
 def test_affine_atomic_length_requires_dominant():
     a2 = root_system("A2~")
-    bad = AffineWeight(a2, a2.root_coords((-1, 0)), 1, Fraction(0))
+    bad = AffineWeight(a2, (2, -1, 0))  # level 1, finite part -omega_1
     with pytest.raises(NotDominant):
         affine_atomic_length(affine_identity(a2), bad)
     # level too small for the finite part: m_0 < 0
-    bad = AffineWeight(a2, a2.root_coords((1, 1)), 1, Fraction(0))
+    bad = AffineWeight(a2, (-1, 1, 1))  # level 1, finite part rho
     with pytest.raises(NotDominant):
         affine_atomic_length(affine_identity(a2), bad)
 
@@ -372,7 +372,7 @@ def test_non_dominant_value_regression():
     # level-zero weight omega_2 in B2~ takes the value -1 on some elements,
     # which is why the public operation insists on dominance
     b2 = root_system("B2~")
-    lam = AffineWeight(b2, b2.root_coords((0, 1)), 0, Fraction(0))
+    lam = AffineWeight(b2, (-1, 0, 1))  # level 0, finite part omega_2
 
     def raw_value(word):
         mu = act_word_on_weight(b2, word, lam)

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +210,44 @@ def test_affine_radius_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert "more than 10 lattice points tried" in err
+
+
+def test_affine_not_dominant_message_prints_integers(capsys):
+    code, out, err = run_cli(capsys, "affine", "--type", "C2~", "--weight", "1,-1,0")
+    assert code == 2 and out == ""
+    assert err == "error: affine weight (1, -1, 0) is not dominant integral\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every `atomic ...` command in the README, once each: the lines of its
+    sh blocks, comments dropped, and its inline code spans."""
+    text = README.read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        commands += [
+            line.split("#")[0].strip()
+            for line in block.splitlines()
+            if line.startswith("atomic ")
+        ]
+    commands += re.findall(r"`(atomic [^`\n]+)`", text)
+    return list(dict.fromkeys(commands))
+
+
+def test_readme_commands_are_found():
+    commands = readme_commands()
+    for expected in (
+        "atomic image --type E8 --cap 696729600",
+        "atomic affine --type E6~ --weight 1,0,0,0,0,0,0 --radius 12",
+        "atomic cores --n 6 --max 120 --count-only",
+        "atomic verify",
+    ):
+        assert expected in commands
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_exits_zero(capsys, command):
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0 and out and err == ""

@@ -101,17 +101,19 @@ def test_ball_norms_and_no_duplicates(label, radius):
     assert (0,) * system.rank in betas
 
 
-def test_cap_counts_points_tried():
+def test_cap_counts_points_tried(monkeypatch):
     a3 = root_system("A3~")
     points, tried = drain(affine.lattice_ball(a3, 12))
     assert len(points) <= tried
-    assert drain(affine.lattice_ball(a3, 12, cap=tried)) == (points, tried)
-    with pytest.raises(RadiusTooLarge, match=f"more than {tried - 1} lattice points tried"):
-        drain(affine.lattice_ball(a3, 12, cap=tried - 1))
     lam = affine.basic_weight(a3)
-    assert affine.affine_image_probe(a3, lam, 12, cap=tried).searched == len(points)
+    monkeypatch.setattr(affine, "PROBE_CAP", tried)
+    assert drain(affine.lattice_ball(a3, 12)) == (points, tried)
+    assert affine.affine_image_probe(a3, lam, 12).searched == len(points)
+    monkeypatch.setattr(affine, "PROBE_CAP", tried - 1)
+    with pytest.raises(RadiusTooLarge, match=f"more than {tried - 1} lattice points tried"):
+        drain(affine.lattice_ball(a3, 12))
     with pytest.raises(RadiusTooLarge):
-        affine.affine_image_probe(a3, lam, 12, cap=tried - 1)
+        affine.affine_image_probe(a3, lam, 12)
 
 
 def test_negative_bound_is_an_empty_ball():

@@ -3,15 +3,28 @@
 `affine.orbit_depth_histogram` runs the walk on packed coordinates
 (m_0, m_1, ..., m_n).  The reference below walks `AffineWeight` values
 through `affine.weight_reflect` instead, keyed by finite part and delta
-coefficient, with a set of every weight seen.  The finite walk is compared
-with the parabolic recursion in `test_parabolic.py`; here its weights are
-counted against the orbit size |W| / |W_I|.
+coefficient, with a set of every weight seen.  Both read the affine Cartan
+matrix, so `weight_reflect` is checked first against the action of the
+generator s_i as an affine transformation (beta, wbar), which does not.
+The finite walk is compared with the parabolic recursion in
+`test_parabolic.py`; here its weights are counted against the orbit size
+|W| / |W_I|.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomic import weyl
-from atomic.affine import affine_cartan, affine_weight, orbit_depth_histogram, weight_reflect
+from atomic.affine import (
+    AffineWeight,
+    act_element_on_weight,
+    affine_cartan,
+    affine_generator,
+    affine_weight,
+    orbit_depth_histogram,
+    weight_reflect,
+)
 from atomic.errors import NegativeBound, OrbitTooLarge
 from atomic.rootdata import root_system
 from atomic.weyl import dominant_orbit_size, orbit_depths, orbit_weights
@@ -33,6 +46,17 @@ def reference_depths(lam, max_depth):
                     seen.add(key)
                     stack.append((nxt, depth + int(p)))
     return histogram
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(label=st.sampled_from([f"{spec}~" for spec in ALL_TYPES_TO_RANK_8]), data=st.data())
+def test_weight_reflect_matches_generator_action(label, data):
+    system = root_system(label)
+    n = system.rank
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+    mu = AffineWeight(system, tuple(coords), data.draw(st.integers(-3, 3)))
+    for i in range(n + 1):
+        assert weight_reflect(mu, i) == act_element_on_weight(affine_generator(system, i), mu)
 
 
 # (type, max depth): Lambda_0, Lambda_1 and Lambda_0 + Lambda_1 are walked

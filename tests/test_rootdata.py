@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from atomic.errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
 from atomic.fixtures import W0_CLASSICAL, W0_CLOSED_FORMS, W0_EXCEPTIONAL
@@ -10,6 +12,7 @@ from atomic.rootdata import (
     parse_type,
     root_system,
 )
+from test_parabolic import ALL_TYPES_TO_RANK_8
 
 ALL_TYPES = [
     "A1", "A2", "A3", "A4", "A5", "A6",
@@ -211,3 +214,18 @@ def test_weight_coordinates_are_checked_integers():
 def test_systems_are_cached():
     assert root_system("B3") is root_system("B3")
     assert root_system("B3") is not root_system("B3~")
+
+
+@pytest.mark.parametrize("spec", ALL_TYPES_TO_RANK_8 + ("A16", "D16"))
+def test_scaled_cartan_inverse_against_sympy(spec):
+    system = root_system(spec)
+    n, scale, scaled = system.rank, system.weight_scale, system._scaled_cartan_inv
+    # A (S A^{-1}) = S I, in integers
+    for i, row in enumerate(system.cartan):
+        for j in range(n):
+            assert sum(a * scaled[k][j] for k, a in enumerate(row)) == scale * (i == j)
+    inverse = sympy.Matrix(system.cartan).inv()
+    assert sympy.Matrix(scaled) == scale * inverse
+    # S is the least common denominator of A^{-1}
+    assert scale == math.lcm(*(int(sympy.fraction(c)[1]) for c in inverse))
+    assert system.rho_coords == tuple(sum(row, Fraction(0)) for row in inverse.tolist())

@@ -4,11 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from atomic import weyl
 from atomic.errors import (
     IndexOutOfRange,
     InvariantViolation,
     NotAReflection,
     NotReduced,
+    SubgroupTooLarge,
     SystemMismatch,
 )
 from atomic.linalg import solve_columns
@@ -333,6 +335,19 @@ def test_group_orders():
     assert dominant_orbit_size(a2, (1, 1)) == 6
     assert dominant_orbit_size(a2, (1, 0)) == 3
     assert dominant_orbit_size(a2, (0, 0)) == 1
+
+
+def test_group_enumeration_cap_boundary(monkeypatch):
+    a3 = root_system("A3")
+    monkeypatch.setattr(weyl, "GROUP_ENUMERATION_CAP", 24)
+    assert len(enumerate_group(a3)) == 24
+    # the cap is read at call time, also through a reflection subgroup
+    assert len(standard_parabolic(a3, [1, 2, 3]).elements()) == 24
+    monkeypatch.setattr(weyl, "GROUP_ENUMERATION_CAP", 23)
+    with pytest.raises(SubgroupTooLarge, match="more than 23 elements"):
+        enumerate_group(a3)
+    with pytest.raises(SubgroupTooLarge):
+        standard_parabolic(a3, [1, 2, 3]).elements()
 
 
 SMALL_RANK_TYPES = (
