@@ -22,12 +22,16 @@ once at the end, where its integrality is checked.  Shi coefficients are
 one floor division in units of 1/(N D) of a single forward image of the
 scaled alcove point N x0.
 
-The probe and the lattice counts of `cores` share one generator,
-`lattice_ball`: Fincke-Pohst enumeration on an integer LDL^T of the basis
-Gram matrix, yielding each (beta, beta^T G beta) in the ball and trying no
-point outside its shadow.  Away from Lambda_0 a probe value depends on wbar
-only through mu = wbar(lbar), so the probe walks the finite orbit W.lbar
-(`weyl.orbit_weights`), not W; `searched` still counts group elements.
+The probe and the lattice counts of `cores` share one enumerator, `_runs`:
+Fincke-Pohst enumeration on an integer LDL^T of the basis Gram matrix,
+built once per system on first use, trying no point outside its ball.
+`lattice_ball` centres it at 0 and yields each (beta, beta^T G beta);
+`level_one_histogram` centres it at rho/h^vee in a simply-laced type, where
+the ball is a bound on the level-one value, and counts each innermost run
+by its exact integer differences.  Away from Lambda_0 a probe value depends
+on wbar only through mu = wbar(lbar), so the probe walks the finite orbit
+W.lbar (`weyl.orbit_weights`), not W; `searched` still counts group
+elements.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .errors import (
     NegativeBound,
     NotDominant,
     RadiusTooLarge,
+    UnsupportedType,
 )
 from .rootdata import RootSystem, integral_coords
 from .weyl import (
@@ -470,22 +475,19 @@ def translation_lattice_basis(system: RootSystem):
     return tuple(basis)
 
 
-def lattice_ball(system: RootSystem, norm_bound):
-    """Yield (beta, beta^T G beta) for every translation-lattice vector beta
-    with |beta|^2 <= norm_bound, each once; return the number of lattice
-    points tried.
+@cache
+def _lattice_ldl(system: RootSystem):
+    """The integer LDL^T of the translation-lattice Gram matrix, built once
+    per system, on first use: (scales, dens, forms, weights, k_scale).
 
-    Fincke-Pohst enumeration (Math. Comp. 44, 1985) in the coordinates x of
-    `translation_lattice_basis`.  One LDL^T of the basis Gram matrix, in
-    Fractions, is scaled to K Q(x) = sum_i W_i (e_i x_i + u_i)^2 with integers
-    W_i, e_i and integer forms u_i = sum_{j>i} E_ij x_j.  With budget B left
-    by x_{n-1}, ..., x_{i+1}, x_i runs over |e_i x_i + u_i| <= isqrt(B // W_i).
-    Every point tried, at every level, counts against PROBE_CAP, read at
-    each call; past it RadiusTooLarge is raised.
+    In the coordinates x of `translation_lattice_basis` (beta_i = scales_i
+    x_i), one LDL^T of the basis Gram matrix, in Fractions, is scaled to
+    K Q(x) = sum_i W_i (e_i x_i + sum_{j>i} E_ij x_j)^2 with integers K =
+    k_scale, W_i = weights, e_i = dens and E_ij = forms[i][j] (zero for
+    j <= i); Q(x) = beta^T G beta.
     """
-    _require_affine(system)
     n = system.rank
-    scales = [row[i] for i, row in enumerate(translation_lattice_basis(system))]
+    scales = tuple(row[i] for i, row in enumerate(translation_lattice_basis(system)))
     q = [
         [Fraction(si * sj * g) for sj, g in zip(scales, row)]
         for si, row in zip(scales, system.gram)
@@ -496,48 +498,143 @@ def lattice_ball(system: RootSystem, norm_bound):
         for k in range(i + 1, n):
             for m in range(k, n):
                 q[k][m] -= q[i][i] * q[i][k] * q[i][m]
-    dens = [math.lcm(*(c.denominator for c in q[i][i + 1:])) for i in range(n)]
-    forms = [  # E_ij = e_i q_ij for j > i, integers by the choice of e_i
+    dens = tuple(math.lcm(*(c.denominator for c in q[i][i + 1:])) for i in range(n))
+    forms = tuple(  # E_ij = e_i q_ij for j > i, integers by the choice of e_i
         (0,) * (i + 1) + tuple(c.numerator * (e // c.denominator) for c in row[i + 1:])
         for i, (e, row) in enumerate(zip(dens, q))
-    ]
+    )
     pivots = [q[i][i] / (e * e) for i, e in enumerate(dens)]
     k_scale = math.lcm(*(p.denominator for p in pivots))
-    weights = [p.numerator * (k_scale // p.denominator) for p in pivots]
-    # Q(x) = beta^T G beta is an integer, so the ball is Q(x) <= floor(D bound)
-    full = k_scale * math.floor(system.gram_scale * norm_bound)
-    if full < 0:
-        return 0
-    x = [0] * n
-    tried = 0
+    weights = tuple(p.numerator * (k_scale // p.denominator) for p in pivots)
+    return scales, dens, forms, weights, k_scale
 
-    def level(i, budget):
-        nonlocal tried
-        e, w = dens[i], weights[i]
-        u = sum(map(mul, forms[i], x))
+
+def _runs(system: RootSystem, centre, full: int, what: str, tried: list):
+    """Yield (x, lo, hi, t, used) for every run of the innermost coordinate
+    over the ball K Q(den x - num) <= full centred at x = num / den.
+
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) on `_lattice_ldl`, with
+    the centre shifting each u_i: T_i = den (e_i x_i + u_i) - V_i, where
+    u_i = sum_{j>i} E_ij x_j and V_i = e_i num_i + sum_{j>i} E_ij num_j, so
+    that K Q(den x - num) = sum_i W_i T_i^2.  With budget B left by x_{n-1},
+    ..., x_{i+1}, x_i runs over |T_i| <= isqrt(B // W_i), so no point
+    outside the ball is tried.  A run fixes x[1:] (x is shared; x[0] is
+    unused), lets x_0 run over lo..hi, starts at T_0 = t, which grows by
+    den e_0 per step, and has used = K Q of the coordinates fixed above.
+    `tried[i]` counts the values tried at level i; more than PROBE_CAP in
+    all, read at each call, raise RadiusTooLarge.
+    """
+    _, dens, forms, weights, _ = _lattice_ldl(system)
+    num, den = centre
+    n = len(dens)
+    steps = [den * e for e in dens]
+    shifts = [e * c + sum(map(mul, f, num)) for e, c, f in zip(dens, num, forms)]
+    x, tops, ts, budgets = [0] * n, [0] * n, [0] * n, [0] * n
+    total = 0
+    if full < 0:
+        return
+    i, budget = n - 1, full
+    while True:
+        e, w = steps[i], weights[i]
+        u = den * sum(map(mul, forms[i], x)) - shifts[i]  # T_i = e x_i + u
         s = math.isqrt(budget // w)
         lo, hi = -((u + s) // e), (s - u) // e
-        if hi < lo:
+        if lo <= hi:
+            tried[i] += hi - lo + 1
+            total += hi - lo + 1
+            if total > PROBE_CAP:
+                raise RadiusTooLarge(
+                    f"more than {PROBE_CAP} lattice points tried for {what}"
+                )
+            t = e * lo + u
+            if i == 0:
+                yield x, lo, hi, t, full - budget
+            else:
+                x[i], tops[i], ts[i], budgets[i] = lo, hi, t, budget
+                i, budget = i - 1, budget - w * t * t
+                continue
+        # step the innermost outer coordinate with room left, or finish
+        i += 1
+        while i < n and x[i] == tops[i]:
+            i += 1
+        if i == n:
             return
-        tried += hi - lo + 1
-        if tried > PROBE_CAP:
-            raise RadiusTooLarge(
-                f"more than {PROBE_CAP} lattice points tried for |beta|^2 <= {norm_bound}"
-            )
-        if i:
-            for xi in range(lo, hi + 1):
-                x[i] = xi
-                t = e * xi + u
-                yield from level(i - 1, budget - w * t * t)
-            return
-        rest = tuple(map(mul, scales[1:], x[1:]))
-        used = full - budget  # K Q of the coordinates fixed above
-        for x0 in range(lo, hi + 1):
-            t = e * x0 + u
-            yield (scales[0] * x0,) + rest, _unscale(used + w * t * t, k_scale, "norm")
+        x[i] += 1
+        t = ts[i] = ts[i] + steps[i]
+        i, budget = i - 1, budgets[i] - weights[i] * t * t
 
-    yield from level(n - 1, full)
-    return tried
+
+def lattice_ball(system: RootSystem, norm_bound):
+    """Yield (beta, beta^T G beta) for every translation-lattice vector beta
+    with |beta|^2 <= norm_bound, each once; return the number of lattice
+    points tried.
+
+    The ball centred at 0 of `_runs`.  Every point tried, at every level,
+    counts against PROBE_CAP, read at each call; past it RadiusTooLarge is
+    raised.
+    """
+    _require_affine(system)
+    n = system.rank
+    scales, dens, _, weights, k_scale = _lattice_ldl(system)
+    # Q(x) = beta^T G beta is an integer, so the ball is Q(x) <= floor(D bound)
+    full = k_scale * math.floor(system.gram_scale * norm_bound)
+    e, w, s0, tail = dens[0], weights[0], scales[0], scales[1:]
+    tried = [0] * n
+    for x, lo, hi, t, used in _runs(
+        system, ((0,) * n, 1), full, f"|beta|^2 <= {norm_bound}", tried
+    ):
+        rest = tuple(map(mul, tail, x[1:]))
+        for x0 in range(lo, hi + 1):
+            yield (s0 * x0,) + rest, _unscale(used + w * t * t, k_scale, "norm")
+            t += e
+    return sum(tried)
+
+
+def level_one_histogram(system: RootSystem, max_value: int):
+    """({value: count} over the translation lattice for level-one values
+    (h^vee/2)|beta|^2 - ht(beta) <= max_value, in increasing value; the
+    points tried per level, innermost first), in a simply-laced type.
+
+    There (beta|rho) = ht(beta) on the root lattice, so the value is
+    (h^vee/2)|beta - c|^2 - (h^vee/2)|c|^2 with c = rho/h^vee = num/den,
+    num = S rho from `scaled_root_coords` and den = S h^vee: the values
+    <= max_value are exactly the ball h^vee Q(den x - num) <= 2 D max_value
+    den^2 + h^vee Q(num) of `_runs`, which tries no point outside it.  Along
+    a run, 2 D K den^2 value = h^vee (used + W_0 T_0^2 - K Q(num)), so each
+    run needs one exact division for its first value and one for its first
+    difference; the second difference h^vee W_0 e_0^2 / (D K) is 2 h^vee.
+    PROBE_CAP bounds the points tried, as in `lattice_ball`.
+    """
+    _require_affine(system)
+    if system.gram_scale != 1:
+        raise UnsupportedType(f"{system.label} is not simply laced")
+    n = system.rank
+    tried = [0] * n
+    if max_value < 0:
+        return {}, tuple(tried)
+    _, dens, _, weights, k_scale = _lattice_ldl(system)
+    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
+    num = system.scaled_root_coords((1,) * n)
+    den = system.weight_scale * hvee
+    base = hvee * system.scaled_inner_product(num, num)
+    full = k_scale * ((two_d * max_value * den * den + base) // hvee)
+    unit, e, a = two_d * k_scale * den * den, den * dens[0], hvee * weights[0]
+    step2 = _unscale(2 * a * e * e, unit, "second difference")
+    counts: dict[int, int] = {}
+    get, offset = counts.get, -k_scale * base
+    runs = _runs(system, (num, den), full, f"level-one value <= {max_value}", tried)
+    for x, lo, hi, t, used in runs:
+        value, r = divmod(hvee * used + offset + a * t * t, unit)
+        step, r2 = divmod(a * e * (2 * t + e), unit)
+        if r or r2:
+            raise InvariantViolation(f"level-one values at x = {x} are not integers")
+        for _ in range(hi - lo + 1):
+            counts[value] = get(value, 0) + 1
+            value += step
+            step += step2
+    if counts and min(counts) < 0:
+        raise InvariantViolation(f"level-one value {min(counts)} < 0")
+    return dict(sorted(counts.items())), tuple(tried)
 
 
 def _certified_max(system: RootSystem, lam: AffineWeight, norm_bound: Fraction) -> int:

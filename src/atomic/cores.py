@@ -11,22 +11,27 @@ failing that, removing every removable box of residue i.  `residue_reflect`
 does this on the partition itself.
 
 The (n+1)-cores are the orbit of Lambda_0 in type A_n~, and a core's size
-is its weight's depth (Garvan-Kim-Stanton), so `core_sizes` and
-`orbit_cores` are the tree walk of `weyl.orbit_depths` and
-`weyl.orbit_weights` on the affine Cartan matrix.  A weight with affine
-coordinates (m_0, ..., m_n) is the core with runner charges c_0..c_n on the
-(n+1)-abacus (James-Kerber; runner j holds beads at j + (n+1) L for every
-L < c_j) given by m_i = c_{i-1} - c_i for i >= 1 and charges summing to 0:
-s_i (i >= 1) swaps runners i-1 and i, s_0 swaps the last runner and the
-first across one level, and each adds m_i boxes of residue i when m_i > 0.
+is its weight's depth and the level-one value of a translation in the root
+lattice (Garvan-Kim-Stanton).  So `core_sizes` and `lattice_value_histogram`
+are one count of lattice points by level-one value, over the Fincke-Pohst
+ball centred at rho/h of `affine.level_one_histogram`, while `orbit_cores`
+lists the cores by the tree walk of `weyl.orbit_weights` on the affine
+Cartan matrix, and `core_count_vs_lattice` sets that walk's count against
+the lattice.
+
+A weight with affine coordinates (m_0, ..., m_n) is the core with runner
+charges c_0..c_n on the (n+1)-abacus (James-Kerber; runner j holds beads at
+j + (n+1) L for every L < c_j) given by m_i = c_{i-1} - c_i for i >= 1 and
+charges summing to 0: s_i (i >= 1) swaps runners i-1 and i, s_0 swaps the
+last runner and the first across one level, and each adds m_i boxes of
+residue i when m_i > 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
-from .affine import _certified_max, _level_one, affine_cartan, basic_weight, lattice_ball
+from .affine import affine_cartan, level_one_histogram
 from .errors import InvalidModulus, InvariantViolation, NegativeBound, NotACore
 from .rootdata import root_system
 from .weyl import orbit_depths, orbit_weights
@@ -108,28 +113,36 @@ def _charges(coords):
 
 
 def _partition(charges) -> Partition:
-    """The core with these runner charges: parts x_r + r + 1 of the beads x_r.
+    """The core with these runner charges, by one merge of the runners.
 
-    Every position below m * min(charges) holds a bead, so only the beads
-    above it give nonzero parts.
+    Positions j + m L (runner j, level L) are read in increasing order from
+    m * min(charges), below which every position holds a bead; a position
+    holds a bead when L < c_j, and a bead's part is the number of empty
+    positions below it.  The parts come out smallest first.
     """
-    m = len(charges)
-    low = min(charges)
-    beads = sorted(
-        (j + m * level for j, c in enumerate(charges) for level in range(low, c)),
-        reverse=True,
-    )
-    parts = (x + r + 1 for r, x in enumerate(beads))
-    return tuple(part for part in parts if part > 0)
+    parts = []
+    gaps = 0
+    for level in range(min(charges), max(charges)):
+        for c in charges:
+            if c <= level:
+                gaps += 1
+            elif gaps:
+                parts.append(gaps)
+    return tuple(reversed(parts))
 
 
-def _basic_orbit(n: int, max_size: int):
-    """The affine Cartan matrix of A_n~ and the coordinates of Lambda_0."""
+def _affine_a(n: int, max_size: int):
+    """The root system of A_n~, once n and the size bound are checked."""
     if n < 1:
         raise InvalidModulus(f"modulus n + 1 = {n + 1} must be at least 2")
     if max_size < 0:
         raise NegativeBound(f"size bound {max_size} must be nonnegative")
-    return affine_cartan(root_system(f"A{n}~")), (1,) + (0,) * n
+    return root_system(f"A{n}~")
+
+
+def _basic_orbit(n: int, max_size: int):
+    """The affine Cartan matrix of A_n~ and the coordinates of Lambda_0."""
+    return affine_cartan(_affine_a(n, max_size)), (1,) + (0,) * n
 
 
 def orbit_cores(n: int, max_size: int):
@@ -141,8 +154,11 @@ def orbit_cores(n: int, max_size: int):
 
 
 def core_sizes(n: int, max_size: int):
-    """Map size -> number of (n+1)-cores of that size, for sizes <= max_size."""
-    return orbit_depths(*_basic_orbit(n, max_size), max_size)
+    """Map size -> number of (n+1)-cores of that size, for sizes <= max_size,
+    in increasing size: the lattice counts of `lattice_value_histogram`, as
+    a core of size N is a translation of level-one value N.  PROBE_CAP
+    bounds the lattice points tried (RadiusTooLarge)."""
+    return level_one_histogram(_affine_a(n, max_size), max_size)[0]
 
 
 def count_lattice_points(n: int, target: int):
@@ -155,25 +171,14 @@ def count_lattice_points(n: int, target: int):
 
 
 def lattice_value_histogram(n: int, max_target: int):
-    """value -> lattice-point count for all values <= max_target, one sweep
-    of `affine.lattice_ball`, capped by `affine.PROBE_CAP` points tried."""
-    system = root_system(f"A{n}~")
-    # value = (hvee/2)|b|^2 - ht(b) >= (hvee/2)|b|^2 - c0 |b| with c0 = |h x0|;
-    # bound the ball by solving the quadratic in |b| with padded constants.
-    norm = Fraction(2 * max_target, n + 1) + 2
-    while _certified_max(system, basic_weight(system), norm) < max_target:
-        norm += max(1, norm // 2)
-    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
-    histogram: dict[int, int] = {}
-    for beta, beta_norm in lattice_ball(system, norm):
-        value = _level_one(hvee, two_d, beta, beta_norm)
-        if value <= max_target:
-            histogram[value] = histogram.get(value, 0) + 1
-    return histogram
+    """value -> lattice-point count for all values <= max_target, in
+    increasing value: `affine.level_one_histogram` on A_n~, the ball
+    centred at rho/h, capped by `affine.PROBE_CAP` points tried."""
+    return level_one_histogram(root_system(f"A{n}~"), max_target)[0]
 
 
 def core_count_vs_lattice(n: int, target: int):
-    """Count (n+1)-cores of size `target` and the matching lattice count."""
-    cores = core_sizes(n, target).get(target, 0)
-    lattice = count_lattice_points(n, target)
-    return cores, lattice
+    """Count (n+1)-cores of size `target` by the orbit walk, and the matching
+    lattice count by the centred ball: two independent routes."""
+    cores = orbit_depths(*_basic_orbit(n, target), target).get(target, 0)
+    return cores, count_lattice_points(n, target)

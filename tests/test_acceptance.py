@@ -203,9 +203,11 @@ def test_criterion_10_cores_slice():
     for n in (3, 4, 5, 6):
         attained = cores.core_sizes(n, 200)
         assert set(attained) == set(range(201)), n
+    # cores counted by the orbit walk, against the lattice ball
     for n in (1, 2, 3, 4):
         histogram = cores.lattice_value_histogram(n, 60)
-        counted = cores.core_sizes(n, 60)
+        system = root_system(f"A{n}~")
+        counted = affine.orbit_depth_histogram(system, affine.basic_weight(system), 60)
         for target in range(61):
             assert counted.get(target, 0) == histogram.get(target, 0), (n, target)
     elapsed = time.time() - start

@@ -1,7 +1,16 @@
+import time
+
 import pytest
 
-from atomic import weyl
-from atomic.errors import InvalidModulus, NegativeBound, NotACore, OrbitTooLarge
+from atomic import affine, weyl
+from atomic.affine import basic_weight, level_one_histogram, orbit_depth_histogram
+from atomic.errors import (
+    InvalidModulus,
+    NegativeBound,
+    NotACore,
+    OrbitTooLarge,
+    RadiusTooLarge,
+)
 from atomic.fixtures import THREE_CORE_SIZES
 from atomic.cores import (
     beta_numbers,
@@ -12,6 +21,7 @@ from atomic.cores import (
     orbit_cores,
     residue_reflect,
 )
+from atomic.rootdata import root_system
 
 
 # Hook lengths and a literal rim walk: two oracles for the beta-number test
@@ -187,17 +197,33 @@ def test_orbit_cap(monkeypatch):
         orbit_cores(2, 100)
     monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 1000)
     with pytest.raises(OrbitTooLarge):
-        core_sizes(3, 10**18)
-    # the cap counts the cores visited: seven 3-cores have size <= 5
+        orbit_cores(3, 10**18)
+    # the walk's cap counts the cores visited: seven 3-cores have size <= 5
     monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 7)
-    assert sum(core_sizes(2, 5).values()) == 7
+    assert sum(map(len, orbit_cores(2, 5).values())) == 7
     monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 6)
     with pytest.raises(OrbitTooLarge):
+        orbit_cores(2, 5)
+    # core_sizes counts the lattice points tried, at every level
+    tried = sum(level_one_histogram(root_system("A2~"), 5)[1])
+    monkeypatch.setattr(affine, "PROBE_CAP", tried)
+    assert sum(core_sizes(2, 5).values()) == 7
+    monkeypatch.setattr(affine, "PROBE_CAP", tried - 1)
+    with pytest.raises(RadiusTooLarge, match=f"more than {tried - 1} lattice points tried"):
         core_sizes(2, 5)
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(RadiusTooLarge):
+        core_sizes(3, 10**18)
+    assert time.perf_counter() - start < 1
     with pytest.raises(InvalidModulus):
         orbit_cores(0, 5)
+    with pytest.raises(InvalidModulus):
+        core_sizes(0, 5)
     with pytest.raises(NegativeBound, match="size bound -1"):
         orbit_cores(2, -1)
+    with pytest.raises(NegativeBound, match="size bound -1"):
+        core_sizes(2, -1)
 
 
 def test_lattice_counts_match_small():
@@ -228,8 +254,11 @@ def test_core_sizes_match_affine_orbit_depths():
 
 
 def test_core_sizes_match_lattice_counts():
+    # cores counted by the orbit walk, not by core_sizes, which is the
+    # lattice count itself
     for n in (2, 3):
-        sizes = core_sizes(n, 20)
+        system = root_system(f"A{n}~")
+        sizes = orbit_depth_histogram(system, basic_weight(system), 20)
         # the bijection sends a core of size N to a translation whose
         # level-one length is N
         for target in range(21):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomic import affine
-from atomic.errors import RadiusTooLarge
+from atomic.errors import RadiusTooLarge, UnsupportedType
 from atomic.rootdata import root_system
 
 # every untwisted affine type of rank <= 4
@@ -129,3 +129,41 @@ def test_e6_basic_weight_probe():
     assert report.searched == 6373
     assert report.certified_max == 41 and report.missing == ()
     assert elapsed < 5, f"E6~ Lambda_0 probe at radius 12 took {elapsed:.1f} s"
+
+
+# -- the ball centred at rho/h: level-one values against the orbit walk --------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=1, max_value=6), bound=st.integers(min_value=0, max_value=60))
+def test_level_one_histogram_matches_orbit_walk(n, bound):
+    system = root_system(f"A{n}~")
+    counts, tried = affine.level_one_histogram(system, bound)
+    walk = affine.orbit_depth_histogram(system, affine.basic_weight(system), bound)
+    assert counts == walk
+    assert list(counts) == sorted(counts)
+    # the centred ball tries no innermost point that it does not keep
+    assert tried[0] == sum(counts.values())
+
+
+@pytest.mark.parametrize("label", ["D4~", "D5~", "E6~"])
+def test_level_one_histogram_beyond_type_a(label):
+    system = root_system(label)
+    counts, tried = affine.level_one_histogram(system, 14)
+    assert counts == affine.orbit_depth_histogram(system, affine.basic_weight(system), 14)
+    assert tried[0] == sum(counts.values())
+
+
+@pytest.mark.parametrize("n, kept", [(3, 356), (4, 1349)])
+def test_centred_ball_tries_only_kept_points(n, kept):
+    # the ball centred at 0 tried 683 and 3,401 points for these
+    counts, tried = affine.level_one_histogram(root_system(f"A{n}~"), 60)
+    assert tried[0] == sum(counts.values()) == kept
+
+
+def test_level_one_histogram_edges():
+    a2 = root_system("A2~")
+    assert affine.level_one_histogram(a2, -1) == ({}, (0, 0))
+    assert affine.level_one_histogram(a2, 0) == ({0: 1}, (1, 1))
+    with pytest.raises(UnsupportedType):
+        affine.level_one_histogram(root_system("B2~"), 5)
