@@ -603,7 +603,8 @@ def level_one_histogram(system: RootSystem, max_value: int):
     a run, 2 D K den^2 value = h^vee (used + W_0 T_0^2 - K Q(num)), so each
     run needs one exact division for its first value and one for its first
     difference; the second difference h^vee W_0 e_0^2 / (D K) is 2 h^vee.
-    PROBE_CAP bounds the points tried, as in `lattice_ball`.
+    A fractional or negative value raises InvariantViolation.  PROBE_CAP
+    bounds the points tried, as in `lattice_ball`.
     """
     _require_affine(system)
     if system.gram_scale != 1:
