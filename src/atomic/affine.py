@@ -18,7 +18,7 @@ on exact integers.  With G = D (d_i a_ij) the integer Gram matrix of
 `rootdata` and den = S its weight scale (S times a finite part is
 integral), the affine atomic length, the probe and the level-one values are
 computed in units of 1/(2 D den): each is an integer numerator, divided
-once at the end, where its integrality is checked.  Shi coefficients are
+once at the end, where `linalg.exact_div` checks its integrality.  Shi coefficients are
 one floor division in units of 1/(N D) of a single forward image of the
 scaled alcove point N x0.
 
@@ -51,6 +51,7 @@ from .errors import (
     RadiusTooLarge,
     UnsupportedType,
 )
+from .linalg import exact_div
 from .rootdata import RootSystem, integral_coords
 from .weyl import (
     WeylElement,
@@ -171,11 +172,6 @@ class AffineElement:
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.beta) and self.fbar.is_identity()
 
-    def apply_point(self, x):
-        """Act on a point of the finite space (simple-root coordinates)."""
-        img = self.fbar.act_root(x)
-        return tuple(a + b for a, b in zip(img, self.beta))
-
     def gamma(self):
         """The translation on the other side: w = wbar . tau_gamma."""
         return self.fbar.act_inverse_root(self.beta)
@@ -228,13 +224,6 @@ def weight_reflect(mu: AffineWeight, i: int) -> AffineWeight:
     return AffineWeight(system, coords, mu.delta_coeff - (m if i == 0 else 0))
 
 
-def act_word_on_weight(system: RootSystem, word, mu: AffineWeight) -> AffineWeight:
-    """Word action, rightmost letter first (matching composition order)."""
-    for i in reversed(tuple(word)):
-        mu = weight_reflect(mu, i)
-    return mu
-
-
 def _act_scaled(w: AffineElement, mu: AffineWeight):
     """The action of w on mu in scaled integers.
 
@@ -256,11 +245,11 @@ def act_element_on_weight(w: AffineElement, mu: AffineWeight) -> AffineWeight:
     system = w.system
     num, drop = _act_scaled(w, mu)
     fund = tuple(
-        _unscale(sum(map(mul, row, num)), mu.den, "fundamental coordinate")
+        exact_div(sum(map(mul, row, num)), mu.den, "fundamental coordinate")
         for row in system.cartan
     )
     m0 = mu.level - sum(map(mul, system.comarks[1:], fund))
-    z = mu.delta_coeff - _unscale(drop, 2 * system.gram_scale * mu.den, "delta drop")
+    z = mu.delta_coeff - exact_div(drop, 2 * system.gram_scale * mu.den, "delta drop")
     return AffineWeight(system, (m0,) + fund, z)
 
 
@@ -355,21 +344,7 @@ def shi_vector(w: AffineElement) -> ShiVector:
     return ShiVector(system, coeffs)
 
 
-def affine_length(w: AffineElement) -> int:
-    """Number of hyperplanes separating the alcove of w from the fundamental
-    one: the absolute sum of the Shi vector."""
-    return sum(abs(c) for c in shi_vector(w).coefficients)
-
-
 # -- atomic length ----------------------------------------------------------
-
-
-def _unscale(value: int, unit: int, what: str) -> int:
-    """value / unit, which the theory says is an integer."""
-    q, r = divmod(value, unit)
-    if r:
-        raise InvariantViolation(f"{what} {Fraction(value, unit)} is not an integer")
-    return q
 
 
 def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
@@ -402,13 +377,13 @@ def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
             f"dual paths disagree: direct {direct}, closed {closed} "
             f"(units of 1/{two_d * lam.den})"
         )
-    return _unscale(direct, two_d * lam.den, "affine atomic length")
+    return exact_div(direct, two_d * lam.den, "affine atomic length")
 
 
 def _level_one(hvee: int, two_d: int, beta, norm: int) -> int:
     """(h^vee / 2) |beta|^2 - ht(beta) from norm = beta^T G beta = D |beta|^2,
     in units of 1/(2D); the one place a level-one value is computed."""
-    value = _unscale(hvee * norm - two_d * sum(beta), two_d, "level-one value")
+    value = exact_div(hvee * norm - two_d * sum(beta), two_d, "level-one value")
     if value < 0:
         raise InvariantViolation(f"level-one value {value} < 0 at beta = {tuple(beta)}")
     return value
@@ -419,21 +394,6 @@ def level_one_atomic_length(system: RootSystem, beta) -> int:
     _require_affine(system)
     norm = system.scaled_inner_product(beta, beta)
     return _level_one(system.dual_coxeter_number, 2 * system.gram_scale, beta, norm)
-
-
-def affine_decomposition_check(w: AffineElement, lam: AffineWeight) -> bool:
-    """Check L_lam(w) = L_lbar(wbar) + level * L_Lambda0(w) + h^vee (lbar|gamma),
-    both sides in units of 1/(2 D den)."""
-    system = w.system
-    lam.require_dominant_integral()
-    lnum, two_d = lam.num, 2 * system.gram_scale
-    finite_term = sum(lnum) - sum(w.fbar.act_root(lnum))
-    rhs = (
-        two_d * finite_term
-        + two_d * lam.den * lam.level * level_one_atomic_length(system, w.beta)
-        + 2 * system.dual_coxeter_number * system.scaled_inner_product(lnum, w.gamma())
-    )
-    return two_d * lam.den * affine_atomic_length(w, lam) == rhs
 
 
 @cache
@@ -470,7 +430,7 @@ def translation_lattice_basis(system: RootSystem):
     basis = []
     for i in range(n):
         # 1/d_i = 2D / G_ii
-        scale = _unscale(2 * system.gram_scale, system.gram[i][i], "1/d_i")
+        scale = exact_div(2 * system.gram_scale, system.gram[i][i], "1/d_i")
         basis.append(tuple(scale * int(j == i) for j in range(n)))
     return tuple(basis)
 
@@ -585,7 +545,7 @@ def lattice_ball(system: RootSystem, norm_bound):
     ):
         rest = tuple(map(mul, tail, x[1:]))
         for x0 in range(lo, hi + 1):
-            yield (s0 * x0,) + rest, _unscale(used + w * t * t, k_scale, "norm")
+            yield (s0 * x0,) + rest, exact_div(used + w * t * t, k_scale, "norm")
             t += e
     return sum(tried)
 
@@ -620,11 +580,12 @@ def level_one_histogram(system: RootSystem, max_value: int):
     base = hvee * system.scaled_inner_product(num, num)
     full = k_scale * ((two_d * max_value * den * den + base) // hvee)
     unit, e, a = two_d * k_scale * den * den, den * dens[0], hvee * weights[0]
-    step2 = _unscale(2 * a * e * e, unit, "second difference")
+    step2 = exact_div(2 * a * e * e, unit, "second difference")
     counts: dict[int, int] = {}
     get, offset = counts.get, -k_scale * base
     runs = _runs(system, (num, den), full, f"level-one value <= {max_value}", tried)
     for x, lo, hi, t, used in runs:
+        # exact divisions kept inline, not through exact_div: once per run
         value, r = divmod(hvee * used + offset + a * t * t, unit)
         step, r2 = divmod(a * e * (2 * t + e), unit)
         if r or r2:
@@ -721,7 +682,7 @@ def affine_image_probe(
         # row_j = h^vee den G_jj mu_j.  The walk over W.lbar in fundamental
         # coordinates stops at the top depth 2 <lbar, rho^vee>.
         unit = two_d * lam.den
-        top = _unscale(2 * sum(lnum), lam.den, "2 <lbar, rho^vee>")
+        top = exact_div(2 * sum(lnum), lam.den, "2 <lbar, rho^vee>")
         diag = [row[j] for j, row in enumerate(system.gram)]
         rows = [
             (unit * depth, tuple(hvee * lam.den * g * m for g, m in zip(diag, mu)))
@@ -733,7 +694,7 @@ def affine_image_probe(
             for finite_term, row in rows:
                 scaled.add(finite_term + v0 + sum(map(mul, row, beta)))
             points += 1
-        values = {_unscale(v, unit, "affine atomic length") for v in scaled}
+        values = {exact_div(v, unit, "affine atomic length") for v in scaled}
         searched = group_order(system) * points
 
     certified = _certified_max(system, lam, Fraction(radius))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InvariantViolation, OrbitTooLarge
+from .linalg import exact_div
 from .rootdata import RootSystem, Weight
 from .weyl import (
     WeylElement,
@@ -42,12 +43,10 @@ def lambda_atomic_length(w: WeylElement, lam: Weight):
     lam.require_dominant_integral()
     system = w.system
     scaled = system.scaled_root_coords(lam.fund)
-    value, rem = divmod(sum(scaled) - sum(w.act_root(scaled)), system.weight_scale)
-    if rem or value < 0:
-        raise InvariantViolation(
-            f"<lambda - w(lambda), rho^vee> = {value} + {rem}/{system.weight_scale} "
-            "is not a nonnegative integer"
-        )
+    drop = sum(scaled) - sum(w.act_root(scaled))
+    value = exact_div(drop, system.weight_scale, "<lambda - w(lambda), rho^vee>")
+    if value < 0:
+        raise InvariantViolation(f"<lambda - w(lambda), rho^vee> = {value} < 0")
     return value
 
 
@@ -75,9 +74,6 @@ class LambdaInversionSet:
         return tuple(
             sum(e.vector[i] for e in self.entries) for i in range(self.rank)
         )
-
-    def height_sum(self):
-        return sum(sum(e.vector) for e in self.entries)
 
 
 def lambda_inversion_set(system: RootSystem, word, lam: Weight) -> LambdaInversionSet:
@@ -235,15 +231,12 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
         raise InvariantViolation(f"lowest value {lo} of <lambda - w(lambda), rho^vee> is not 0")
     zero = [i + 1 for i, c in enumerate(lam.fund) if c == 0]
     stabiliser = parabolic_order(system, zero)
-    histogram: dict[int, int] = {}
-    for depth, count in _unpack(packed, width).items():
-        histogram[depth], rem = divmod(count, stabiliser)
-        if rem:
-            raise InvariantViolation(
-                f"{count} elements at value {depth} is not a multiple "
-                f"of |W_lambda| = {stabiliser}"
-            )
-    return histogram
+    return {
+        depth: exact_div(
+            count, stabiliser, f"{count} elements at value {depth}, not a multiple of |W_lambda|"
+        )
+        for depth, count in _unpack(packed, width).items()
+    }
 
 
 def image_set(system: RootSystem, lam: Weight, cap=ORBIT_CAP, histogram=False) -> ImageReport:
@@ -278,13 +271,8 @@ def atomic_length_w0(system: RootSystem, lam: Weight) -> int:
     sum(S lambda) / S in scaled root coordinates (S = `weight_scale`)."""
     system.require_finite("w0 is taken in the finite Weyl group")
     lam.require_dominant_integral()
-    scale = system.weight_scale
-    value, rem = divmod(2 * sum(system.scaled_root_coords(lam.fund)), scale)
-    if rem:
-        raise InvariantViolation(
-            f"2<lambda, rho^vee> = {value} + {rem}/{scale} is not an integer"
-        )
-    return value
+    scaled = system.scaled_root_coords(lam.fund)
+    return exact_div(2 * sum(scaled), system.weight_scale, "2<lambda, rho^vee>")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .affine import affine_cartan, level_one_histogram
-from .errors import InvalidModulus, InvariantViolation, NegativeBound, NotACore
+from .errors import InvalidModulus, NegativeBound, NotACore
+from .linalg import exact_div
 from .rootdata import root_system
 from .weyl import orbit_depths, orbit_weights
 
@@ -106,9 +107,7 @@ def _charges(coords):
     """Runner charges of the core at affine coordinates (m_0, ..., m_n):
     c_0 - c_i = m_1 + ... + m_i, and the charges sum to 0."""
     drops = tuple(accumulate(coords[1:], initial=0))
-    c0, rem = divmod(sum(drops), len(coords))
-    if rem:
-        raise InvariantViolation(f"runner charges of {coords} do not sum to 0")
+    c0 = exact_div(sum(drops), len(coords), f"runner charge c_0 of {coords}")
     return tuple(c0 - d for d in drops)
 
 

@@ -1,16 +1,14 @@
-"""Small exact linear algebra.
+"""Small exact integer arithmetic on tuples of tuples (rows).
 
-Everything here operates on tuples of tuples (rows) and stays exact; the
-matrices involved are small, so no attempt is made to be clever.  These
-routines serve set-up work done once per root system: the
-integer determinant and adjugate of the Cartan matrix, from which `rootdata`
-scales its inverse to integers, and the coordinates of classical roots.
-The group and affine hot paths run on the scaled integer forms of
-`rootdata` instead; a Weyl element's inverse comes from the invariant form
-(`weyl`).
+`adjugate` is set-up work done once per root system: the determinant and
+adjugate of the Cartan matrix, from which `rootdata` scales its inverse to
+the integer S A^{-1} that weights, Weyl inverses and classical root labels
+are read through.  `exact_div` is every division that the theory says is
+exact; a remainder is a defect, not bad input, and raises
+InvariantViolation, which `python -O` does not strip.
 """
 
-from fractions import Fraction
+from .errors import InvariantViolation
 
 
 def mat_vec(rows, v):
@@ -46,32 +44,10 @@ def adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return prev, tuple(tuple(row[n:]) for row in aug)
 
 
-def solve_columns(columns, target):
-    """Solve sum_i x_i * columns[i] = target exactly.
-
-    The columns may live in a higher-dimensional ambient space; the system
-    must be consistent with a unique solution (full column rank).
-    """
-    m, k = len(target), len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(m)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("columns are linearly dependent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv_p = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv_p for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if aug[r][k] != 0:
-            raise ValueError("inconsistent system")
-    return tuple(aug[i][k] for i in range(k))
-
+def exact_div(value: int, unit: int, what: str) -> int:
+    """value / unit, which the theory says is an integer; a remainder raises
+    InvariantViolation naming `what`."""
+    q, r = divmod(value, unit)
+    if r:
+        raise InvariantViolation(f"{what}: {value}/{unit} is not an integer")
+    return q

@@ -94,27 +94,6 @@ def to_weyl(w) -> WeylElement:
     return WeylElement(system, cols)
 
 
-def word_from_one_line(w):
-    """Reduced word via bubble sort, stripping the smallest left descent.
-
-    Swapping positions i, i+1 of the one-line form realises left
-    multiplication by s_i on the corresponding group element, so the letters
-    come out in composition order.
-    """
-    w = list(check_permutation(w))
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                w[i], w[i + 1] = w[i + 1], w[i]
-                word.append(i + 1)
-                changed = True
-                break
-    return tuple(word)
-
-
 def permutohedron_distance_sq(w, x) -> int:
     """|w(x) - x|^2 for an adequate point x, permuting the coordinate values.
 

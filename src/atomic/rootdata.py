@@ -15,7 +15,9 @@ end; `inner_product` is that single division.  Weights, whose simple-root
 coordinates are rational, are scaled likewise by S, the least common
 denominator of the inverse Cartan matrix: S A^{-1} is built once, in
 integers, from the determinant and adjugate of A (`linalg.adjugate`), and
-`scaled_root_coords` is one product with it.
+`scaled_root_coords` is one product with it; classical labels such as
+e_i - e_j are read through it too.  Exact divisions go through
+`linalg.exact_div`, which checks them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
-from .linalg import adjugate, mat_vec, solve_columns
+from .linalg import adjugate, exact_div, mat_vec
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -144,8 +146,10 @@ class RootSystem:
         # rho in the simple-root basis; its fundamental coordinates are all 1.
         self.rho_coords = self.root_coords((1,) * n)
         self.marks = (1,) + self.highest_root
+        # a_i^vee = theta_i (alpha_i|alpha_i) / 2 = theta_i G_ii / 2D
         self.comarks = (1,) + tuple(
-            _as_int(d * c) for d, c in zip(self.symmetrizer, self.highest_root)
+            exact_div(c * self.gram[i][i], 2 * self.gram_scale, "comark")
+            for i, c in enumerate(self.highest_root)
         )
         self.coxeter_number = sum(self.marks)
         self.dual_coxeter_number = sum(self.comarks)
@@ -290,13 +294,6 @@ def integral_coords(coords, what: str) -> tuple[int, ...]:
     return tuple(c.numerator for c in exact)
 
 
-def _as_int(x) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"expected integer, got {x}")
-    return int(f)
-
-
 @dataclass(frozen=True)
 class Weight:
     """An integral weight given by its fundamental-weight coordinates.
@@ -361,65 +358,48 @@ def root_system(spec: str | TypeLabel) -> RootSystem:
 # -- ambient coordinates for the classical types -------------------------
 #
 # Used by fixtures and display code to translate labels like e_i - e_j into
-# simple-root coordinates.  The ambient realisations are the Bourbaki ones.
-
-
-class _Vec(tuple):
-    def __add__(self, other):
-        return _Vec(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other):
-        return _Vec(a - b for a, b in zip(self, other))
-
-    def __rmul__(self, k):
-        return _Vec(Fraction(k) * a for a in self)
-
-
-def _unit(dim, i):
-    return _Vec(Fraction(int(j == i)) for j in range(dim))
+# simple-root coordinates.  The ambient realisations are the Bourbaki ones,
+# in integers.
 
 
 def _ambient_simple_roots(system: RootSystem):
     fam, n = system.label.family, system.rank
-    if fam == "A":
-        dim = n + 1
-        alphas = [_unit(dim, i) - _unit(dim, i + 1) for i in range(n)]
-    elif fam in ("B", "C", "D"):
-        dim = n
-        alphas = [_unit(dim, i) - _unit(dim, i + 1) for i in range(n - 1)]
-        if fam == "B":
-            alphas.append(_unit(dim, n - 1))
-        elif fam == "C":
-            alphas.append(2 * _unit(dim, n - 1))
-        else:
-            alphas.append(_unit(dim, n - 2) + _unit(dim, n - 1))
-    else:
+    if fam not in "ABCD":
         raise InvalidType(f"no classical ambient realisation for {system.label}")
+    dim = n + 1 if fam == "A" else n
+    alphas = [[0] * dim for _ in range(n)]
+    for i, a in enumerate(alphas[: n if fam == "A" else n - 1]):
+        a[i], a[i + 1] = 1, -1
+    last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}.get(fam, {})
+    for k, c in last.items():
+        alphas[-1][k] = c
     return alphas
-
-
-def ambient_to_root_coords(system: RootSystem, ambient) -> tuple[int, ...]:
-    """Express an ambient-basis vector in simple-root coordinates."""
-    alphas = _ambient_simple_roots(system)
-    sol = solve_columns(alphas, tuple(Fraction(c) for c in ambient))
-    return tuple(_as_int(c) for c in sol)
 
 
 def classical_root(system: RootSystem, kind: str, i: int, j: int | None = None):
     """Classical root labels: kind "diff" is e_i - e_j, "sum" is e_i + e_j,
-    "short" is e_i (types B/D ambient unit) and "long" is 2 e_i (type C)."""
-    fam, n = system.label.family, system.rank
-    dim = n + 1 if fam == "A" else n
-    e = lambda k: _unit(dim, k - 1)
-    if kind == "diff":
-        v = e(i) - e(j)
-    elif kind == "sum":
-        v = e(i) + e(j)
-    elif kind == "short":
-        v = e(i)
-    elif kind == "long":
-        v = 2 * e(i)
+    "short" is e_i (types B/D ambient unit) and "long" is 2 e_i (type C).
+    The fundamental coordinates of the label's vector v are <v, alpha_j^vee>
+    = 2 (v.a_j) / (a_j.a_j); a label that is not a root raises ValueError."""
+    alphas = _ambient_simple_roots(system)
+    dim = len(alphas[0])
+    if not all(1 <= k <= dim for k in (i, j) if k is not None):
+        raise IndexOutOfRange(f"ambient index outside 1..{dim}")
+    v = [0] * dim
+    if kind in ("diff", "sum"):
+        v[i - 1] += 1
+        v[j - 1] += 1 if kind == "sum" else -1
+    elif kind in ("short", "long"):
+        v[i - 1] = 1 if kind == "short" else 2
     else:
         raise ValueError(f"unknown classical root kind {kind!r}")
-    return ambient_to_root_coords(system, v)
-
+    fund = tuple(
+        exact_div(2 * sum(map(mul, v, a)), sum(map(mul, a, a)), "<v, alpha_j^vee>")
+        for a in alphas
+    )
+    coords = tuple(c // system.weight_scale for c in system.scaled_root_coords(fund))
+    # v lies in the root lattice exactly when these coordinates give it back
+    back = [sum(c * a[k] for c, a in zip(coords, alphas)) for k in range(dim)]
+    if back != v or not system.is_root(coords):
+        raise ValueError(f"{kind} label {tuple(v)} is not a root of {system.label}")
+    return coords

@@ -69,19 +69,16 @@ def _palindrome_word(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1)) + tuple(range(n - 1, 0, -1))
 
 
-def special_reflection(system: RootSystem, kind: str | None = None) -> SpecialReflection:
+def special_reflection(system: RootSystem) -> SpecialReflection:
     """The distinguished Susanfe-flavoured reflection of a classical type.
 
     Types A, C and D use the highest-root reflection; type B uses the
     reflection of the short root e_1, whose inversion set avoids the
     parabolic entirely.  The returned constant is computed, never hardcoded.
     """
-    fam = kind or system.label.family
-    n = system.rank
+    fam, n = system.label.family, system.rank
     if fam not in "ABCD":
         raise UnsupportedType(f"no special reflection for type {system.label}")
-    if fam != system.label.family:
-        raise UnsupportedType(f"kind {fam} does not match system {system.label}")
     if fam == "D":
         arm = tuple(range(2, n - 1))
         first = arm + (n, n - 1) + arm[::-1]

@@ -25,7 +25,6 @@ from operator import add, mul
 
 from .errors import (
     IndexOutOfRange,
-    InvariantViolation,
     NegativeBound,
     NotAReflection,
     NotReduced,
@@ -33,6 +32,7 @@ from .errors import (
     SubgroupTooLarge,
     SystemMismatch,
 )
+from .linalg import exact_div
 from .rootdata import RootSystem, Weight
 
 GROUP_ENUMERATION_CAP = 10**7
@@ -157,19 +157,15 @@ class WeylElement:
         system, n, m = self.system, self.system.rank, self._m
         gram, scale = system.gram, system.weight_scale
         g_x = [sum(map(mul, row, coords)) for row in gram]
-        pairing = []
-        for j in range(n):
-            q, r = divmod(2 * sum(map(mul, m[j * n:j * n + n], g_x)), gram[j][j])
-            if r:
-                raise InvariantViolation(f"<w^-1 x, alpha_{j + 1}^vee> is not an integer")
-            pairing.append(q)
-        out = []
-        for row in system._scaled_cartan_inv:
-            q, r = divmod(sum(map(mul, row, pairing)), scale)
-            if r:
-                raise InvariantViolation(f"w^-1 x has the coordinate {q} + {r}/{scale}")
-            out.append(q)
-        return tuple(out)
+        pairing = [
+            exact_div(2 * sum(map(mul, m[j * n:j * n + n], g_x)), gram[j][j],
+                      "<w^-1 x, alpha_j^vee>")
+            for j in range(n)
+        ]
+        return tuple(
+            exact_div(sum(map(mul, row, pairing)), scale, "coordinate of w^-1 x")
+            for row in system._scaled_cartan_inv
+        )
 
     def act_weight(self, wt: Weight) -> Weight:
         if wt.system.label != self.system.label:
@@ -178,7 +174,9 @@ class WeylElement:
         # integers; the image's fundamental coordinates are S times integers
         system = self.system
         image = system.fund_coords(self.act_root(system.scaled_root_coords(wt.fund)))
-        return Weight(system, tuple(c // system.weight_scale for c in image))
+        scale = system.weight_scale
+        fund = tuple(exact_div(c, scale, "<w lambda, alpha_j^vee>") for c in image)
+        return Weight(system, fund)
 
     # -- inversion combinatorics -------------------------------------------
 
@@ -361,16 +359,13 @@ def parabolic_order(system: RootSystem, indices) -> int:
         if support | mask == mask:
             num *= height + 1
             den *= height
-    order, rem = divmod(num, den)
-    if rem:
-        raise InvariantViolation(f"Macdonald's product on nodes {mask:#b} is {num}/{den}")
-    return order
+    return exact_div(num, den, f"Macdonald's product on nodes {mask:#b}")
 
 
 def dominant_orbit_size(system: RootSystem, fund_coords) -> int:
     """|W . lambda| = |W| / |W_I| with I the zero nodes of a dominant weight."""
     zero = [i + 1 for i, c in enumerate(fund_coords) if c == 0]
-    return group_order(system) // parabolic_order(system, zero)
+    return exact_div(group_order(system), parabolic_order(system, zero), "|W|/|W_I|")
 
 
 def _orbit_tree(cartan, start, max_depth):

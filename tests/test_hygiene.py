@@ -1,5 +1,6 @@
-"""Source hygiene: no `assert` in the package, no unused imports, and the
-fixture suite passes under `python -O`.
+"""Source hygiene: no `assert` in the package, no unused imports, Fractions
+only where a denominator is real, and the fixture suite passes under
+`python -O`.
 
 The package checks its invariants by raising `InvariantViolation`, because
 `python -O` strips `assert` statements; these tests keep it that way.
@@ -68,6 +69,28 @@ def test_unused_import_scan_sees_unread_names():
         "def f(x) -> 'Iterable':\n    return lcm(x, 2)\n"
     )
     assert unused_imports(tree) == [(2, "os"), (3, "system"), (4, "gcd")]
+
+
+def imported_modules(tree):
+    """Top-level names of the modules a module imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_rootdata_and_affine_import_fractions():
+    # rational values are real in root coordinates of weights, the form and
+    # the probe's bounds; every exact division elsewhere goes through
+    # linalg.exact_div on integers
+    importers = [
+        p.name for p in PACKAGE_FILES
+        if "fractions" in imported_modules(ast.parse(p.read_text(), str(p)))
+    ]
+    assert importers == ["affine.py", "rootdata.py"]
 
 
 def test_verify_passes_under_optimized_mode():

@@ -174,6 +174,34 @@ def test_inverse_of_a_non_isometry_raises():
         shear.act_inverse_root((1, 0))
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_weight_image_of_a_non_isometry_raises(flags):
+    # S omega_1 = (2, 1) goes to (3, 1), whose fundamental coordinates (5, -1)
+    # are not multiples of S = 3; a floor division would hide the shear
+    script = textwrap.dedent(
+        """
+        from atomic import weyl
+        from atomic.errors import InvariantViolation
+        from atomic.rootdata import root_system
+
+        a2 = root_system("A2")
+        shear = weyl._element(a2, (1, 0, 1, 1))
+        try:
+            print("not raised:", shear.act_weight(a2.fundamental_weight(1)).fund)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        """
+    )
+    src = str(Path(atomic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: <w lambda, alpha_j^vee>: 5/3"), result.stdout
+
+
 @pytest.mark.parametrize("label", ALL_TYPES_TO_RANK_8)
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(data=st.data())

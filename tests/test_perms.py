@@ -6,6 +6,7 @@ import pytest
 from atomic.errors import NotAdequate
 from atomic.atomiclen import atomic_length
 from atomic.perms import (
+    check_permutation,
     cosine,
     cosine_range_probe,
     entropy,
@@ -15,10 +16,30 @@ from atomic.perms import (
     ninvsum,
     permutohedron_distance_sq,
     to_weyl,
-    word_from_one_line,
 )
 from atomic.rootdata import root_system
 from atomic.weyl import evaluate
+
+
+def word_from_one_line(w):
+    """Reduced word via bubble sort, stripping the smallest left descent.
+
+    Swapping positions i, i+1 of the one-line form realises left
+    multiplication by s_i on the corresponding group element, so the letters
+    come out in composition order.
+    """
+    w = list(check_permutation(w))
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                w[i], w[i + 1] = w[i + 1], w[i]
+                word.append(i + 1)
+                changed = True
+                break
+    return tuple(word)
 
 
 def binom3(n):

@@ -97,6 +97,58 @@ def test_height_equals_rho_check_pairing(label):
         assert sum(Fraction(c) for c in system.root_coords(fund)) == sum(beta)
 
 
+CLASSICAL_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+)
+
+
+def bourbaki_labels(family, n):
+    """(kind, i, j, ambient vector) for every positive root label, and the
+    ambient simple roots, as in the Bourbaki planches."""
+    dim = n + 1 if family == "A" else n
+
+    def e(*pairs):
+        v = [0] * dim
+        for k, c in pairs:
+            v[k - 1] += c
+        return v
+
+    simple = [e((i, 1), (i + 1, -1)) for i in range(1, dim)]
+    simple += {"A": [], "B": [e((n, 1))], "C": [e((n, 2))], "D": [e((n - 1, 1), (n, 1))]}[family]
+    pairs = [(i, j) for i in range(1, dim) for j in range(i + 1, dim + 1)]
+    labels = [("diff", i, j, e((i, 1), (j, -1))) for i, j in pairs]
+    if family != "A":
+        labels += [("sum", i, j, e((i, 1), (j, 1))) for i, j in pairs]
+    if family in "BC":
+        kind, c = ("short", 1) if family == "B" else ("long", 2)
+        labels += [(kind, i, None, e((i, c))) for i in range(1, n + 1)]
+    return labels, simple
+
+
+@pytest.mark.parametrize("label", CLASSICAL_TYPES)
+def test_classical_labels_are_the_positive_roots(label):
+    system = root_system(label)
+    labels, simple = bourbaki_labels(system.label.family, system.rank)
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    roots = [classical_root(system, kind, i, j) for kind, i, j, _ in labels]
+    assert sorted(roots) == sorted(system.positive_roots)
+    for root, (_, _, _, v) in zip(roots, labels):
+        pairings = tuple(Fraction(2 * dot(v, a), dot(a, a)) for a in simple)
+        assert system.fund_coords(root) == pairings
+
+
+@pytest.mark.parametrize("label, kind, i, j", [
+    ("B3", "long", 1, None),  # 2 e_1 is twice a short root
+    ("A3", "sum", 1, 2),  # e_1 + e_2 is not in the span of the roots
+    ("C3", "short", 1, None),  # e_1 is a weight, not in the root lattice
+    ("D4", "short", 1, None),
+])
+def test_classical_non_root_labels_are_refused(label, kind, i, j):
+    with pytest.raises(ValueError, match="is not a root"):
+        classical_root(root_system(label), kind, i, j)
+
+
 def test_heights_type_a_and_b():
     a5 = root_system("A5")
     for i in range(1, 6):

@@ -106,8 +106,6 @@ def test_special_reflection_words():
 def test_special_reflection_unsupported():
     with pytest.raises(UnsupportedType):
         special_reflection(root_system("F4"))
-    with pytest.raises(UnsupportedType):
-        special_reflection(root_system("A3"), kind="B")
 
 
 def test_type_a_restricted_length_values():

@@ -3,6 +3,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+import sympy
 
 from atomic import weyl
 from atomic.errors import (
@@ -13,7 +14,6 @@ from atomic.errors import (
     SubgroupTooLarge,
     SystemMismatch,
 )
-from atomic.linalg import solve_columns
 from atomic.rootdata import classical_root, root_system
 from atomic.weyl import (
     ReflectionSubgroup,
@@ -207,9 +207,11 @@ def test_dyer_delta_characterisation():
 def test_subgroup_root_coordinates_nonnegative():
     a3 = root_system("A3")
     sub = ReflectionSubgroup(a3, [evaluate(a3, (1, 2, 1)), evaluate(a3, (3,))])
+    columns = sympy.Matrix(sub.delta).T
     for a in sub.phi_plus:
-        coords = solve_columns(sub.delta, a)
-        assert all(c >= 0 and c.denominator == 1 for c in coords)
+        coords, free = columns.gauss_jordan_solve(sympy.Matrix(a))
+        assert free.shape[0] == 0
+        assert all(c >= 0 and c.is_integer for c in coords)
 
 
 def test_a_decomposition_basic():
