@@ -18,9 +18,9 @@ on exact integers.  With G = D (d_i a_ij) the integer Gram matrix of
 `rootdata` and den = S its weight scale (S times a finite part is
 integral), the affine atomic length, the probe and the level-one values are
 computed in units of 1/(2 D den): each is an integer numerator, divided
-once at the end, where `linalg.exact_div` checks its integrality.  Shi coefficients are
-one floor division in units of 1/(N D) of a single forward image of the
-scaled alcove point N x0.
+once at the end, where `linalg.exact_div` checks its integrality.  Shi
+coefficients are one floor division in units of 1/(N D) of a single
+forward image of the scaled alcove point N x0.
 
 The probe and the lattice counts of `cores` share one enumerator, `_runs`:
 Fincke-Pohst enumeration on an integer LDL^T of the basis Gram matrix,
@@ -585,7 +585,7 @@ def level_one_histogram(system: RootSystem, max_value: int):
     get, offset = counts.get, -k_scale * base
     runs = _runs(system, (num, den), full, f"level-one value <= {max_value}", tried)
     for x, lo, hi, t, used in runs:
-        # exact divisions kept inline, not through exact_div: once per run
+        # the one exact pair kept inline, not in exact_div: it runs once per run
         value, r = divmod(hvee * used + offset + a * t * t, unit)
         step, r2 = divmod(a * e * (2 * t + e), unit)
         if r or r2:

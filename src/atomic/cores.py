@@ -107,7 +107,7 @@ def _charges(coords):
     """Runner charges of the core at affine coordinates (m_0, ..., m_n):
     c_0 - c_i = m_1 + ... + m_i, and the charges sum to 0."""
     drops = tuple(accumulate(coords[1:], initial=0))
-    c0 = exact_div(sum(drops), len(coords), f"runner charge c_0 of {coords}")
+    c0 = exact_div(sum(drops), len(coords), "runner charge c_0")
     return tuple(c0 - d for d in drops)
 
 

@@ -370,9 +370,12 @@ def _ambient_simple_roots(system: RootSystem):
     alphas = [[0] * dim for _ in range(n)]
     for i, a in enumerate(alphas[: n if fam == "A" else n - 1]):
         a[i], a[i + 1] = 1, -1
-    last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}.get(fam, {})
-    for k, c in last.items():
-        alphas[-1][k] = c
+    if fam == "B":
+        alphas[-1][n - 1] = 1
+    elif fam == "C":
+        alphas[-1][n - 1] = 2
+    elif fam == "D":
+        alphas[-1][n - 2] = alphas[-1][n - 1] = 1
     return alphas
 
 

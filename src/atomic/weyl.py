@@ -158,8 +158,9 @@ class WeylElement:
         gram, scale = system.gram, system.weight_scale
         g_x = [sum(map(mul, row, coords)) for row in gram]
         pairing = [
-            exact_div(2 * sum(map(mul, m[j * n:j * n + n], g_x)), gram[j][j],
-                      "<w^-1 x, alpha_j^vee>")
+            exact_div(
+                2 * sum(map(mul, m[j * n:j * n + n], g_x)), gram[j][j], "<w^-1 x, alpha_j^vee>"
+            )
             for j in range(n)
         ]
         return tuple(
