@@ -381,7 +381,7 @@ def _ambient_simple_roots(system: RootSystem):
 
 def classical_root(system: RootSystem, kind: str, i: int, j: int | None = None):
     """Classical root labels: kind "diff" is e_i - e_j, "sum" is e_i + e_j,
-    "short" is e_i (types B/D ambient unit) and "long" is 2 e_i (type C).
+    "short" is e_i (a root in type B) and "long" is 2 e_i (a root in type C).
     The fundamental coordinates of the label's vector v are <v, alpha_j^vee>
     = 2 (v.a_j) / (a_j.a_j); a label that is not a root raises ValueError."""
     alphas = _ambient_simple_roots(system)
