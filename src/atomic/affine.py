@@ -20,11 +20,14 @@ integral), the affine atomic length, the probe and the level-one values are
 computed in units of 1/(2 D den): each is an integer numerator, divided
 once at the end, where `linalg.exact_div` checks its integrality.  Shi
 coefficients are one floor division in units of 1/(N D) of a single
-forward image of the scaled alcove point N x0.
+forward image of the scaled alcove point N x0, N = h S.  The set-up is in
+integers too: N x0, the probe's certificate and the lattice LDL^T;
+`alcove_point` and `AffineWeight.finite` are the only Fraction views.
 
 The probe and the lattice counts of `cores` share one enumerator, `_runs`:
-Fincke-Pohst enumeration on an integer LDL^T of the basis Gram matrix,
-built once per system on first use, trying no point outside its ball.
+Fincke-Pohst enumeration on the fraction-free LDL^T that
+`linalg.eliminate` gives for the basis Gram matrix, built once per system
+on first use, trying no point outside its ball.
 `lattice_ball` centres it at 0 and yields each (beta, beta^T G beta);
 `level_one_histogram` centres it at rho/h^vee in a simply-laced type, where
 the ball is a bound on the level-one value, and counts each innermost run
@@ -51,7 +54,7 @@ from .errors import (
     RadiusTooLarge,
     UnsupportedType,
 )
-from .linalg import exact_div
+from .linalg import eliminate, exact_div
 from .rootdata import RootSystem, integral_coords
 from .weyl import (
     WeylElement,
@@ -257,10 +260,10 @@ def act_element_on_weight(w: AffineElement, mu: AffineWeight) -> AffineWeight:
 
 
 def alcove_point(system: RootSystem):
-    """The interior point x0 of the fundamental alcove with (alpha_i|x0) = 1/h."""
-    h = system.coxeter_number
-    # (A x0)_i = 1/(h d_i)
-    return system.root_coords(tuple(Fraction(1, h) / d for d in system.symmetrizer))
+    """The interior point x0 of the fundamental alcove with (alpha_i|x0) = 1/h,
+    as Fractions: a view of `_scaled_alcove_point`."""
+    scale, point = _scaled_alcove_point(system)
+    return tuple(Fraction(c, scale) for c in point)
 
 
 @dataclass(frozen=True)
@@ -321,11 +324,12 @@ class ShiVector:
 
 @cache
 def _scaled_alcove_point(system: RootSystem):
-    """(N, N x0) with N the least integer that makes N x0 integral; built on
-    first use, once per system."""
-    x0 = alcove_point(system)
-    scale = math.lcm(*(c.denominator for c in x0))
-    return scale, tuple(c.numerator * (scale // c.denominator) for c in x0)
+    """(N, N x0) with N = h S, S = `weight_scale`; built on first use, once
+    per system.  (A x0)_i = 1/(h d_i), so N x0 = S A^{-1} (1/d_i), integral
+    because each 1/d_i = 2D / G_ii is an integer, the scale of basis vector
+    i in `translation_lattice_basis`."""
+    inverse_d = tuple(row[i] for i, row in enumerate(translation_lattice_basis(system)))
+    return system.coxeter_number * system.weight_scale, system.scaled_root_coords(inverse_d)
 
 
 def shi_vector(w: AffineElement) -> ShiVector:
@@ -441,31 +445,23 @@ def _lattice_ldl(system: RootSystem):
     per system, on first use: (scales, dens, forms, weights, k_scale).
 
     In the coordinates x of `translation_lattice_basis` (beta_i = scales_i
-    x_i), one LDL^T of the basis Gram matrix, in Fractions, is scaled to
-    K Q(x) = sum_i W_i (e_i x_i + sum_{j>i} E_ij x_j)^2 with integers K =
-    k_scale, W_i = weights, e_i = dens and E_ij = forms[i][j] (zero for
-    j <= i); Q(x) = beta^T G beta.
+    x_i), the basis Gram matrix has the fraction-free LDL^T of
+    `linalg.eliminate`, Q(x) = sum_i (R_i . x)^2 / (p_{i-1} p_i), with
+    pivots p_i and pivot rows R_i; Q(x) = beta^T G beta.  So K Q(x) =
+    sum_i W_i (e_i x_i + sum_{j>i} E_ij x_j)^2 with integers e_i = dens_i =
+    p_i, E_ij = forms[i][j] = R_ij (zero for j <= i), K = k_scale =
+    lcm(p_{i-1} p_i) and W_i = weights_i = K / (p_{i-1} p_i).
     """
-    n = system.rank
     scales = tuple(row[i] for i, row in enumerate(translation_lattice_basis(system)))
-    q = [
-        [Fraction(si * sj * g) for sj, g in zip(scales, row)]
+    _, _, rows = eliminate(tuple(
+        tuple(si * sj * g for sj, g in zip(scales, row))
         for si, row in zip(scales, system.gram)
-    ]
-    for i in range(n):  # LDL^T, completing the square in x_0 first
-        for k in range(i + 1, n):
-            q[i][k] /= q[i][i]
-        for k in range(i + 1, n):
-            for m in range(k, n):
-                q[k][m] -= q[i][i] * q[i][k] * q[i][m]
-    dens = tuple(math.lcm(*(c.denominator for c in q[i][i + 1:])) for i in range(n))
-    forms = tuple(  # E_ij = e_i q_ij for j > i, integers by the choice of e_i
-        (0,) * (i + 1) + tuple(c.numerator * (e // c.denominator) for c in row[i + 1:])
-        for i, (e, row) in enumerate(zip(dens, q))
-    )
-    pivots = [q[i][i] / (e * e) for i, e in enumerate(dens)]
-    k_scale = math.lcm(*(p.denominator for p in pivots))
-    weights = tuple(p.numerator * (k_scale // p.denominator) for p in pivots)
+    ))
+    dens = tuple(row[i] for i, row in enumerate(rows))
+    forms = tuple((0,) * (i + 1) + row[i + 1:] for i, row in enumerate(rows))
+    products = tuple(map(mul, (1,) + dens[:-1], dens))
+    k_scale = math.lcm(*products)
+    weights = tuple(k_scale // p for p in products)
     return scales, dens, forms, weights, k_scale
 
 
@@ -599,34 +595,36 @@ def level_one_histogram(system: RootSystem, max_value: int):
     return dict(sorted(counts.items())), tuple(tried)
 
 
-def _certified_max(system: RootSystem, lam: AffineWeight, norm_bound: Fraction) -> int:
-    """Largest N such that every element with value <= N has |beta|^2 <= bound.
+def _certified_max(system: RootSystem, lam: AffineWeight, radius: int) -> int:
+    """Largest N such that every element with value <= N has |beta|^2 <= radius.
 
     Uses L_lam(w) >= (level h^vee / 2) u - (level c0 + h^vee c1) sqrt(u) for
-    u = |beta|^2, where c0 = |h x0| bounds heights and c1 = |lbar|; the
-    inequality ((A s - N)^2 >= B^2 s) is checked in exact rational arithmetic.
+    u = |beta|^2, where c0 = |h x0| bounds heights and c1 = |lbar|.  With
+    z = h S x0 from `_scaled_alcove_point` and num = S lbar, D S^2 c0^2 =
+    z^T G z and D S^2 c1^2 = num^T G num, so for B = D S^2 (level c0 +
+    h^vee c1)^2 the test (A s - N)^2 < B s / (D S^2), A = level h^vee / 2,
+    is (level h^vee s - 2N)^2 D S^2 < 4 B s, in integers.
     """
-    hvee = system.dual_coxeter_number
-    x0 = alcove_point(system)
-    c0_sq = system.inner_product(x0, x0) * system.coxeter_number**2
-    c1_sq = system.inner_product(lam.finite, lam.finite)
-    a_coef = Fraction(lam.level * hvee, 2)
-    # B^2 = (level c0 + h^vee c1)^2 involves c0 c1, which may be irrational.
-    # At lbar = 0 it is level^2 c0^2, exactly; otherwise it is padded to
-    # 2 level^2 c0^2 + 2 h^vee^2 c1^2 >= B^2, as (x + y)^2 <= 2x^2 + 2y^2.
-    b_sq = lam.level**2 * c0_sq
+    hvee, level = system.dual_coxeter_number, lam.level
+    if level == 0:
+        return 0
+    g = system.scaled_inner_product
+    _, z = _scaled_alcove_point(system)
+    c0_sq, c1_sq = g(z, z), g(lam.num, lam.num)  # both times D S^2
+    # B involves c0 c1, which may be irrational.  At lbar = 0 it is
+    # level^2 c0^2, exactly; otherwise it is padded to
+    # 2 level^2 c0^2 + 2 h^vee^2 c1^2 >= B, as (x + y)^2 <= 2x^2 + 2y^2.
+    b = level**2 * c0_sq
     if c1_sq:
-        b_sq = 2 * b_sq + 2 * hvee**2 * c1_sq
-    s = norm_bound
-    if a_coef == 0:
-        return 0
+        b = 2 * b + 2 * hvee**2 * c1_sq
+    two_a, unit, s = level * hvee, system.gram_scale * system.weight_scale**2, radius
     # need s past the vertex of the lower bound before it is increasing
-    if 4 * a_coef**2 * s < b_sq:
+    if two_a**2 * s * unit < b:
         return 0
-    n_max = math.floor(a_coef * s)
-    while n_max > 0 and (a_coef * s - n_max) ** 2 < b_sq * s:
+    n_max = two_a * s // 2
+    while n_max > 0 and (two_a * s - 2 * n_max) ** 2 * unit < 4 * b * s:
         n_max -= 1
-    return max(n_max, 0)
+    return n_max
 
 
 @dataclass(frozen=True)
@@ -635,7 +633,7 @@ class AffineProbeReport:
     attained: tuple[int, ...]
     missing: tuple[int, ...]
     searched: int
-    norm_bound: Fraction
+    norm_bound: int
 
     def as_dict(self):
         return {
@@ -697,7 +695,7 @@ def affine_image_probe(
         values = {exact_div(v, unit, "affine atomic length") for v in scaled}
         searched = group_order(system) * points
 
-    certified = _certified_max(system, lam, Fraction(radius))
+    certified = _certified_max(system, lam, radius)
     attained = tuple(sorted(v for v in values if v <= certified))
     missing = tuple(v for v in range(certified + 1) if v not in values)
     return AffineProbeReport(
@@ -705,5 +703,5 @@ def affine_image_probe(
         attained=attained,
         missing=missing,
         searched=searched,
-        norm_bound=Fraction(radius),
+        norm_bound=radius,
     )

@@ -154,10 +154,17 @@ def orbit_cores(n: int, max_size: int):
 
 def core_sizes(n: int, max_size: int):
     """Map size -> number of (n+1)-cores of that size, for sizes <= max_size,
-    in increasing size: the lattice counts of `lattice_value_histogram`, as
-    a core of size N is a translation of level-one value N.  PROBE_CAP
-    bounds the lattice points tried (RadiusTooLarge)."""
+    in increasing size.  A core of size N is a root-lattice translation of
+    level-one value N, so this is the lattice count value -> points of
+    `affine.level_one_histogram` on A_n~, the ball centred at rho/h, capped
+    by `affine.PROBE_CAP` points tried (RadiusTooLarge).  n < 1 raises
+    InvalidModulus and max_size < 0 NegativeBound."""
     return level_one_histogram(_affine_a(n, max_size), max_size)[0]
+
+
+# the same count under its lattice name: value -> number of A_n root-lattice
+# points of that level-one value, for values <= the bound
+lattice_value_histogram = core_sizes
 
 
 def count_lattice_points(n: int, target: int):
@@ -167,13 +174,6 @@ def count_lattice_points(n: int, target: int):
     combinatorics: one bucket of `lattice_value_histogram`.
     """
     return lattice_value_histogram(n, target).get(target, 0)
-
-
-def lattice_value_histogram(n: int, max_target: int):
-    """value -> lattice-point count for all values <= max_target, in
-    increasing value: `affine.level_one_histogram` on A_n~, the ball
-    centred at rho/h, capped by `affine.PROBE_CAP` points tried."""
-    return level_one_histogram(root_system(f"A{n}~"), max_target)[0]
 
 
 def core_count_vs_lattice(n: int, target: int):

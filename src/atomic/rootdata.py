@@ -7,17 +7,21 @@ group elements live in simple-root coordinates; weights are stored by their
 integer fundamental coordinates.  The bilinear form is normalised so that
 the highest root theta has (theta|theta) equal to 2.
 
-The form is kept as one integer Gram matrix G = D (d_i a_ij), where d is the
-symmetrizer and D the common denominator of its entries (1 in the
-simply-laced types, 2 in B, C and F, 3 in G), so x^T G y = D (x|y).  Hot
-paths work with these scaled integers and divide by D (or 2D) once, at the
-end; `inner_product` is that single division.  Weights, whose simple-root
+The form is kept as one integer Gram matrix G = diag(e) A, where e is the
+least integer symmetrizer (e_i a_ij = e_j a_ji; e_i is 1 on the short
+roots and D on the long ones) and D = max e is 1 in the simply-laced
+types, 2 in B, C and F and 3 in G, so x^T G y = D (x|y).  Hot paths work
+with these scaled integers and divide by D (or 2D) once, at the end;
+`inner_product` is that single division.  Weights, whose simple-root
 coordinates are rational, are scaled likewise by S, the least common
 denominator of the inverse Cartan matrix: S A^{-1} is built once, in
-integers, from the determinant and adjugate of A (`linalg.adjugate`), and
+integers, from the determinant and adjugate of A (`linalg.eliminate`), and
 `scaled_root_coords` is one product with it; classical labels such as
 e_i - e_j are read through it too.  Exact divisions go through
-`linalg.exact_div`, which checks them.
+`linalg.exact_div`, which checks them.  Set-up runs on integers alone;
+Fractions appear only in the views `root_coords`, `inner_product`,
+`coroot_pairing` and `Weight.root`, and in the input check
+`integral_coords`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
-from .linalg import adjugate, exact_div, mat_vec
+from .linalg import eliminate, exact_div, mat_vec
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -131,20 +135,29 @@ class RootSystem:
         )
         self.highest_root = self.positive_roots[-1]
 
-        self.symmetrizer = self._symmetrizer()
-        self.gram_scale = math.lcm(*(d.denominator for d in self.symmetrizer))
-        self.gram = tuple(
-            tuple(_scale(d, self.gram_scale) * a for a in row)
-            for d, row in zip(self.symmetrizer, self.cartan)
-        )
+        # The least integer symmetrizer e, with e_i a_ij = e_j a_ji, is
+        # propagated over the Dynkin graph from e_0 = r, the largest bond
+        # (so every e_j is an integer), then divided by the gcd.  Long roots
+        # get e_i = D and G = diag(e) A.
+        cartan = self.cartan
+        e = [max(1, *(-a for row in cartan for a in row))] + [0] * (n - 1)
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j != i and cartan[i][j] and not e[j]:
+                    e[j] = exact_div(e[i] * cartan[i][j], cartan[j][i], "symmetrizer")
+                    stack.append(j)
+        g = math.gcd(*e)
+        e = [ei // g for ei in e]
+        self.gram_scale = max(e)
+        self.gram = tuple(tuple(ei * a for a in row) for ei, row in zip(e, cartan))
         # A^{-1} = adj A / det A; dividing both by their gcd g leaves the
         # least S = det A / g with S A^{-1} integral.
-        det, adj = adjugate(self.cartan)
+        det, adj, _ = eliminate(cartan)
         g = math.gcd(det, *(c for row in adj for c in row))
         self.weight_scale = det // g
         self._scaled_cartan_inv = tuple(tuple(c // g for c in row) for row in adj)
-        # rho in the simple-root basis; its fundamental coordinates are all 1.
-        self.rho_coords = self.root_coords((1,) * n)
         self.marks = (1,) + self.highest_root
         # a_i^vee = theta_i (alpha_i|alpha_i) / 2 = theta_i G_ii / 2D
         self.comarks = (1,) + tuple(
@@ -176,28 +189,6 @@ class RootSystem:
                         nxt.append(img)
             frontier = nxt
         return tuple(sorted(seen, key=lambda r: (sum(r), r)))
-
-    def _symmetrizer(self):
-        # d_i a_ij = d_j a_ji propagated over the Dynkin graph, then scaled
-        # so that (theta|theta) = 2.
-        n = self.rank
-        d = [None] * n
-        d[0] = Fraction(1)
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j != i and self.cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                    stack.append(j)
-        theta = self.highest_root
-        norm = sum(
-            d[i] * self.cartan[i][j] * theta[i] * theta[j]
-            for i in range(n)
-            for j in range(n)
-        )
-        scale = Fraction(2) / norm
-        return tuple(di * scale for di in d)
 
     # -- basic linear data ---------------------------------------------
 
@@ -274,16 +265,16 @@ class RootSystem:
         return Weight(self, tuple(int(j == i - 1) for j in range(self.rank)))
 
     @property
+    def rho_coords(self):
+        """rho in the simple-root basis; its fundamental coordinates are all 1."""
+        return self.root_coords((1,) * self.rank)
+
+    @property
     def rho(self) -> "Weight":
         return Weight(self, (1,) * self.rank)
 
     def __repr__(self):
         return f"RootSystem({self.label})"
-
-
-def _scale(x: Fraction, scale: int) -> int:
-    """scale * x for a scale that x's denominator divides."""
-    return x.numerator * (scale // x.denominator)
 
 
 def integral_coords(coords, what: str) -> tuple[int, ...]:

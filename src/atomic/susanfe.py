@@ -93,7 +93,7 @@ def special_reflection(system: RootSystem) -> SpecialReflection:
     indices = tuple(range(2, n + 1))
     sub = standard_parabolic(system, indices)
     constant = restricted_atomic_length(t, sub)
-    return SpecialReflection(t, word, indices, int(constant))
+    return SpecialReflection(t, word, indices, constant)
 
 
 def susanfe_decomposition_check(
@@ -179,5 +179,5 @@ def list_susanfe_reflections(system: RootSystem):
             l_restricted = (
                 restricted_atomic_length(t, sub) if sub is not None else l_total
             )
-            out.append((alpha, t, int(l_total), int(l_restricted)))
+            out.append((alpha, t, l_total, l_restricted))
     return out

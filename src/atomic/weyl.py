@@ -502,8 +502,10 @@ class ReflectionSubgroup:
                 delta.append(a)
         self.delta = tuple(delta)
         self.simple_reflections = tuple(root_reflection(system, a) for a in delta)
+        g = system.scaled_inner_product
         self.cartan = tuple(
-            tuple(int(system.coroot_pairing(b, a)) for b in delta) for a in delta
+            tuple(exact_div(2 * g(b, a), g(a, a), "<b, a^vee>") for b in delta)
+            for a in delta
         )
         self._elements = None
 

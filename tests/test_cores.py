@@ -18,6 +18,7 @@ from atomic.cores import (
     core_sizes,
     count_lattice_points,
     is_core,
+    lattice_value_histogram,
     orbit_cores,
     residue_reflect,
 )
@@ -224,6 +225,25 @@ def test_orbit_cap(monkeypatch):
         orbit_cores(2, -1)
     with pytest.raises(NegativeBound, match="size bound -1"):
         core_sizes(2, -1)
+
+
+@pytest.mark.parametrize(
+    "entry", [core_sizes, lattice_value_histogram, count_lattice_points],
+    ids=["core_sizes", "lattice_value_histogram", "count_lattice_points"],
+)
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((2, -1), NegativeBound, "size bound -1"),
+        ((0, 5), InvalidModulus, "n \\+ 1 = 1"),
+        ((-1, 5), InvalidModulus, "n \\+ 1 = 0"),
+    ],
+    ids=["max-1", "n0", "n-1"],
+)
+def test_level_one_counts_validate_once(entry, args, error, message):
+    # every entry point of the level-one count refuses what core_sizes refuses
+    with pytest.raises(error, match=message):
+        entry(*args)
 
 
 def test_lattice_counts_match_small():

@@ -1,5 +1,6 @@
 """Source hygiene: no `assert` in the package, no unused imports, Fractions
-only where a denominator is real, and the fixture suite passes under
+only where a denominator is real (only two modules import them, and there
+only views and input checks name them), and the fixture suite passes under
 `python -O`.
 
 The package checks its invariants by raising `InvariantViolation`, because
@@ -91,6 +92,56 @@ def test_only_rootdata_and_affine_import_fractions():
         if "fractions" in imported_modules(ast.parse(p.read_text(), str(p)))
     ]
     assert importers == ["affine.py", "rootdata.py"]
+
+
+# the views and input checks allowed to name Fraction: everything else,
+# set-up included, runs on integers
+FRACTION_VIEWS = {
+    "rootdata.py": {
+        "RootSystem.root_coords",
+        "RootSystem.inner_product",
+        "RootSystem.coroot_pairing",
+        "integral_coords",
+        "Weight.root",
+    },
+    "affine.py": {"AffineWeight.finite", "alcove_point"},
+}
+
+
+def fraction_scopes(tree):
+    """Qualified names of the innermost function or class around each use
+    of the name Fraction ("" at module level); imports are not uses."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                if isinstance(child, ast.Name) and child.id == "Fraction":
+                    scopes.append(scope)
+                visit(child, scope)
+
+    visit(tree, "")
+    return scopes
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_VIEWS))
+def test_fractions_only_in_views(name):
+    tree = ast.parse((PACKAGE / name).read_text(), name)
+    outside = [s for s in fraction_scopes(tree) if s not in FRACTION_VIEWS[name]]
+    assert outside == [], f"Fraction named in {name} outside its views: {outside}"
+
+
+def test_fraction_scan_sees_every_scope():
+    tree = ast.parse(
+        "from fractions import Fraction\n"
+        "X = Fraction(1)\n"
+        "class C:\n    def f(self) -> 'Fraction':\n        return Fraction(2)\n"
+        "    y: Fraction = 0\n"
+        "def g(x: Fraction):\n    def h():\n        return Fraction(3)\n"
+    )
+    assert fraction_scopes(tree) == ["", "C.f", "C", "g", "g.h"]
 
 
 def test_verify_passes_under_optimized_mode():

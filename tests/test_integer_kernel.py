@@ -1,11 +1,14 @@
 """The integer kernel against a Fraction reference kept in this file.
 
-The reference rebuilds what the kernel computes from the Cartan matrix and
-the symmetrizer alone, in exact rationals: the bilinear form
-(x|y) = sum_i d_i x_i (A y)_i, Gauss-Jordan inverses, reflections
+The reference rebuilds what the kernel computes from the Cartan matrix
+alone, in exact rationals: the symmetrizer d normalised so that
+(theta|theta) = 2, the bilinear form (x|y) = sum_i d_i x_i (A y)_i,
+Gauss-Jordan inverses, the alcove point, reflections
 x -> x - <x, beta^vee> beta, and affine words folded as (matrix, translation)
 pairs.  The reference reads none of the kernel's integer Gram matrix,
 form-based inverses or scaled weights; the tests compare against them.
+`linalg.eliminate`, which builds them, is checked against its own
+identities.
 """
 
 import os
@@ -25,6 +28,7 @@ import atomic
 from atomic import affine, weyl
 from atomic.atomiclen import lambda_atomic_length
 from atomic.errors import InvariantViolation
+from atomic.linalg import eliminate
 from atomic.perms import to_weyl
 from atomic.rootdata import root_system
 from atomic.weyl import (
@@ -42,8 +46,27 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 # -- Fraction reference --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def ref_symmetrizer(system):
+    """d_i a_ij = d_j a_ji propagated over the Dynkin graph, then scaled so
+    that (theta|theta) = 2."""
+    a, n = system.cartan, system.rank
+    d = [None] * n
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j != i and a[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * a[i][j] / a[j][i]
+                stack.append(j)
+    theta = system.highest_root
+    norm = sum(d[i] * a[i][j] * theta[i] * theta[j] for i in range(n) for j in range(n))
+    return tuple(di * 2 / norm for di in d)
+
+
 def ref_form(system, x, y):
-    a, d = system.cartan, system.symmetrizer
+    a, d = system.cartan, ref_symmetrizer(system)
     n = system.rank
     return sum(
         d[i] * Fraction(x[i]) * sum(a[i][j] * Fraction(y[j]) for j in range(n))
@@ -108,6 +131,60 @@ def ref_affine_word(system, word):
         beta = [x + y for x, y in zip(ref_apply(matrix, g_shift), beta)]
         matrix = ref_mul(matrix, g_rows)
     return matrix, beta
+
+
+# -- the one elimination -----------------------------------------------------------
+
+
+def check_elimination(rows):
+    """A adj A = det A I; pivot rows zero before their pivot; det A the last
+    pivot; and for a symmetric A the LDL^T identity
+    A = sum_k R_k^T R_k / (p_{k-1} p_k), entry by entry in Fractions.  With
+    the rows triangular, the identity makes each pivot a leading minor."""
+    n = len(rows)
+    det, adj, pivot_rows = eliminate(rows)
+    assert [[sum(a * adj[k][j] for k, a in enumerate(row)) for j in range(n)]
+            for row in rows] == [[det * (i == j) for j in range(n)] for i in range(n)]
+    pivots = [r[k] for k, r in enumerate(pivot_rows)]
+    assert all(r[:k] == (0,) * k for k, r in enumerate(pivot_rows))
+    assert pivots[-1] == det
+    if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n)):
+        weights = [Fraction(1, p * q) for p, q in zip([1] + pivots, pivots)]
+        ldl = [[sum(w * r[i] * r[j] for w, r in zip(weights, pivot_rows)) for j in range(n)]
+               for i in range(n)]
+        assert ldl == [list(row) for row in rows]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_eliminate_on_positive_definite_matrices(data):
+    # M^T M + I is symmetric positive definite, so no leading minor vanishes
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    check_elimination(tuple(
+        tuple(sum(row[i] * row[j] for row in m) + (i == j) for j in range(n))
+        for i in range(n)
+    ))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES_TO_RANK_8)
+def test_eliminate_on_cartan_and_gram_matrices(label):
+    system = root_system(label)
+    check_elimination(system.cartan)
+    check_elimination(system.gram)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((0, 1), (1, 0)), ((1, 1), (1, 1)), ((1, 2, 3), (2, 4, 5), (3, 5, 6))],
+    ids=["first", "singular", "invertible"],
+)
+def test_eliminate_refuses_a_vanishing_leading_minor(rows):
+    # no pivoting: even an invertible matrix is refused at its zero minor
+    with pytest.raises(ZeroDivisionError, match="leading minor"):
+        eliminate(rows)
 
 
 # -- inverses from the invariant form -------------------------------------------
@@ -304,7 +381,10 @@ def test_shi_vector_matches_fraction_geometry(label, data):
     word = data.draw(st.lists(st.integers(0, system.rank), max_size=12))
     element = affine.affine_from_word(system, word)
     matrix, beta = ref_affine_word(system, word)
-    x0 = affine.alcove_point(system)
+    # (alpha_i | x0) = 1/h, that is (A x0)_i = 1/(h d_i)
+    h, d = system.coxeter_number, ref_symmetrizer(system)
+    x0 = ref_apply(ref_inverse(system.cartan), [1 / (h * di) for di in d])
+    assert list(affine.alcove_point(system)) == x0
     point = [a + b for a, b in zip(ref_apply(matrix, x0), beta)]
     expected = tuple(
         (ref_form(system, alpha, point)).__floor__() for alpha in system.positive_roots
