@@ -1,11 +1,11 @@
 """The integer kernel against a Fraction reference kept in this file.
 
-The reference rebuilds what the kernel computes from the Cartan matrix
-alone, in exact rationals: the symmetrizer d normalised so that
-(theta|theta) = 2, the bilinear form (x|y) = sum_i d_i x_i (A y)_i,
+The reference rebuilds what the kernel computes from the Cartan matrix and
+the highest root alone, in exact rationals: the symmetrizer d normalised so
+that (theta|theta) = 2, the bilinear form (x|y) = sum_i d_i x_i (A y)_i,
 Gauss-Jordan inverses, the alcove point, reflections
-x -> x - <x, beta^vee> beta, and affine words folded as (matrix, translation)
-pairs.  The reference reads none of the kernel's integer Gram matrix,
+x -> x - <x, beta^vee> beta, and affine words folded as (matrix,
+translation) pairs.  The reference reads none of the kernel's integer Gram matrix,
 form-based inverses or scaled weights; the tests compare against them.
 `linalg.eliminate`, which builds them, is checked against its own
 identities.
