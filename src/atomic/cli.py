@@ -100,27 +100,24 @@ def cmd_w0(args):
 
 def cmd_susanfe(args):
     system = root_system(args.type)
-    rows = susanfe.list_susanfe_reflections(system)
-    payload = {
-        "type": str(system.label),
-        "reflections": [
+    reflections = []
+    lines = [f"Susanfe reflections in {system.label}:"]
+    for root, element, total, restricted in susanfe.list_susanfe_reflections(system):
+        word = element.reduced_word()
+        reflections.append(
             {
                 "root": list(root),
-                "word": list(element.reduced_word()),
+                "word": list(word),
                 "matrix": [list(col) for col in element.cols],
                 "atomic_length": total,
                 "restricted": restricted,
             }
-            for root, element, total, restricted in rows
-        ],
-    }
-    lines = [f"Susanfe reflections in {system.label}:"]
-    for root, element, total, restricted in rows:
-        word = ",".join(map(str, element.reduced_word()))
-        lines.append(
-            f"  root {root}  word [{word}]  L(t) = {total}  L(t, I) = {restricted}"
         )
-    _emit(args, payload, lines)
+        lines.append(
+            f"  root {root}  word [{','.join(map(str, word))}]  "
+            f"L(t) = {total}  L(t, I) = {restricted}"
+        )
+    _emit(args, {"type": str(system.label), "reflections": reflections}, lines)
     return 0
 
 
@@ -200,16 +197,7 @@ def cmd_entropy(args):
         ["one_line", "length", "invsum", "ninvsum", "entropy", "cosine"]
     )
     for w in permutations(range(1, args.n + 1)):
-        writer.writerow(
-            [
-                "".join(map(str, w)),
-                len(perms.inversions(w)),
-                perms.invsum(w),
-                perms.ninvsum(w),
-                perms.entropy(w),
-                perms.cosine(w),
-            ]
-        )
+        writer.writerow(["".join(map(str, w)), *perms.statistics(w)])
     return 0
 
 

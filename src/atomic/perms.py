@@ -9,6 +9,7 @@ the root e_i - e_j, and invsum becomes the atomic length.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import mul
 
 from .errors import NotAdequate
 from .rootdata import root_system
@@ -18,10 +19,38 @@ OneLine = tuple[int, ...]
 
 
 def check_permutation(w) -> OneLine:
+    """w as a tuple; refuses entries whose type is not int (bools included)
+    or that do not permute 1..n."""
     p = tuple(w)
+    if set(map(type, p)) - {int}:
+        raise ValueError(f"{w} has an entry that is not an int")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"{w} is not a permutation of 1..{len(p)}")
     return p
+
+
+def statistics(w) -> tuple[int, int, int, int, int]:
+    """(length, invsum, ninvsum, entropy, cosine) of w, validated once and
+    read from one pass over its pairs, each by its own definition."""
+    w = check_permutation(w)
+    n = len(w)
+    length = inv = ninv = 0
+    for i in range(n):
+        wi = w[i]
+        for j in range(i + 1, n):
+            if wi > w[j]:
+                length += 1
+                inv += j - i
+            else:
+                ninv += j - i
+    positions = range(1, n + 1)
+    return (
+        length,
+        inv,
+        ninv,
+        sum((k - v) ** 2 for k, v in zip(positions, w)),
+        sum(map(mul, positions, w)),
+    )
 
 
 def cosine(w) -> int:

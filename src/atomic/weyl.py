@@ -11,6 +11,18 @@ by ordinary composition: the word [i1, i2, ..., ir] evaluates to
 s_{i1} o s_{i2} o ... o s_{ir}, i.e. the rightmost letter acts first.
 Equality and hashing go through the matrix, never through words.
 
+Each element and each root image is built by one rank-one step.  A
+reflection s_beta acts through its coroot row, x -> x - <x, beta^vee> beta,
+one dot product.  The group is enumerated as a descent tree: the parent of
+x != e is x s_i for the smallest right descent i of x, so each element is
+built once, from its parent, by one product on the right by a reflection
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 3.4).  The same tree walks
+a reflection subgroup from its canonical simple system (Dyer, J. Algebra
+135, 1990), whose positive roots are the ambient positive roots it holds.
+Inversion sets are read through the root poset: every positive root is a
+simple root or an earlier positive root plus one, so each image w(beta) is
+one column of w added to an image computed before it.
+
 The orbit of a dominant weight, finite or untwisted affine, is walked as a
 tree in which each weight is reached from its smallest negative coordinate
 (`orbit_depths`, `orbit_weights`); `affine` and `cores` walk their orbits
@@ -65,30 +77,38 @@ def _apply(flat, x, n):
     return (0,) * n if acc is None else tuple(acc)
 
 
+def _reflect(refl, x):
+    """s_beta(x) = x - <x, beta^vee> beta for refl = (beta, coroot row)."""
+    root, coroot = refl
+    k = sum(map(mul, coroot, x))
+    return tuple(c - k * r for c, r in zip(x, root)) if k else tuple(x)
+
+
+def _times_reflection(a, refl, n):
+    """Flat matrix of A.s_beta: column j is A alpha_j - <alpha_j, beta^vee>
+    A beta, one image of beta in all."""
+    root, coroot = refl
+    image = _apply(a, root, n)
+    out = []
+    for j, k in zip(range(0, n * n, n), coroot):
+        col = a[j:j + n]
+        out.extend([c - k * r for c, r in zip(col, image)] if k else col)
+    return tuple(out)
+
+
 def _product(a, a_refl, b, b_refl, n):
     """Flat matrix of A.B from the flat matrices and reflection data.
 
-    A reflection s_beta enters through x -> x - <x, beta^vee> beta: on the
-    left it costs one dot product per column of B; on the right, column j
-    of A.s_beta is A alpha_j - <alpha_j, beta^vee> A beta, one image of
-    beta in all.  Two general matrices combine columns.
+    A reflection on the left costs one dot product per column of B
+    (`_reflect`), on the right one image of its root (`_times_reflection`).
+    Two general matrices combine columns.
     """
+    if b_refl is not None and a_refl is None:
+        return _times_reflection(a, b_refl, n)
     out = []
-    if a_refl is not None:
-        root, coroot = a_refl
-        for j in range(0, n * n, n):
-            col = b[j:j + n]
-            k = sum(map(mul, coroot, col))
-            out.extend([c - k * r for c, r in zip(col, root)] if k else col)
-    elif b_refl is not None:
-        root, coroot = b_refl
-        image = _apply(a, root, n)
-        for j, k in zip(range(0, n * n, n), coroot):
-            col = a[j:j + n]
-            out.extend([c - k * r for c, r in zip(col, image)] if k else col)
-    else:
-        for j in range(0, n * n, n):
-            out.extend(_apply(a, b[j:j + n], n))
+    for j in range(0, n * n, n):
+        col = b[j:j + n]
+        out.extend(_apply(a, col, n) if a_refl is None else _reflect(a_refl, col))
     return tuple(out)
 
 
@@ -147,7 +167,10 @@ class WeylElement:
     # -- actions ----------------------------------------------------------
 
     def act_root(self, coords):
-        """Apply the element to a vector in simple-root coordinates."""
+        """Apply the element to a vector in simple-root coordinates; a
+        reflection acts through its coroot row."""
+        if self._refl is not None:
+            return _reflect(self._refl, coords)
         return _apply(self._m, coords, self.system.rank)
 
     def act_inverse_root(self, coords):
@@ -185,13 +208,19 @@ class WeylElement:
         """Positive roots alpha with w^{-1}(alpha) negative, in root order.
 
         Computed as { -w(beta) : beta > 0, w(beta) < 0 }, which needs only
-        the forward matrix.
+        the forward matrix: along the root poset (`_root_poset`) each w(beta)
+        is an earlier image plus one column, and a root is negative exactly
+        when its height is.
         """
         if self._inversions is None:
+            n, m = self.system.rank, self._m
+            images = []
             out = []
-            for beta in self.system.positive_roots:
-                img = self.act_root(beta)
-                if all(c <= 0 for c in img):
+            for parent, j in _root_poset(self.system):
+                col = m[j:j + n]
+                img = col if parent is None else tuple(map(add, images[parent], col))
+                images.append(img)
+                if sum(img) < 0:
                     out.append(tuple(-c for c in img))
             order = self.system.root_index
             self._inversions = tuple(sorted(out, key=order.__getitem__))
@@ -204,7 +233,7 @@ class WeylElement:
         """Indices i with ell(s_i w) < ell(w): w^{-1} alpha_i < 0, i.e. (alpha_i |
         w rho) < 0, since a root has the sign of its form with rho."""
         system = self.system
-        image = self.act_root(system.scaled_root_coords((1,) * system.rank))
+        image = self.act_root(_scaled_rho(system))
         return tuple(
             i + 1 for i, row in enumerate(system.gram) if sum(map(mul, row, image)) < 0
         )
@@ -235,6 +264,28 @@ class WeylElement:
     def __repr__(self):
         word = ",".join(map(str, self.reduced_word())) or "e"
         return f"<{self.system.label}:{word}>"
+
+
+@lru_cache(maxsize=None)
+def _root_poset(system: RootSystem):
+    """(parent, offset) for each positive root beta, in root order: beta is
+    the root at `parent` (an earlier index, None for a simple root) plus the
+    simple root whose column of a flat matrix starts at `offset`."""
+    n, index = system.rank, system.root_index
+    steps = []
+    for beta in system.positive_roots:
+        for i, c in enumerate(beta):
+            below = beta[:i] + (c - 1,) + beta[i + 1:]
+            if c and (not any(below) or below in index):
+                steps.append((index.get(below), i * n))
+                break
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _scaled_rho(system: RootSystem):
+    """S rho in simple-root coordinates (S = `weight_scale`)."""
+    return system.scaled_root_coords((1,) * system.rank)
 
 
 def identity_element(system: RootSystem) -> WeylElement:
@@ -302,13 +353,14 @@ def inversion_set_from_word(system: RootSystem, word):
 
 
 def longest_element(system: RootSystem) -> WeylElement:
-    """Greedy ascent: multiply by s_i while w(alpha_i) stays positive."""
+    """Greedy ascent: multiply by s_i while w(alpha_i), column i of w, stays
+    positive."""
     w = identity_element(system)
     n = system.rank
     while True:
-        for i in range(1, n + 1):
-            if all(c >= 0 for c in w.act_root(system.simple_root(i))):
-                w = w * simple_reflection(system, i)
+        for j in range(0, n * n, n):
+            if sum(w._m[j:j + n]) > 0:
+                w = w * simple_reflection(system, j // n + 1)
                 break
         else:
             return w
@@ -317,24 +369,50 @@ def longest_element(system: RootSystem) -> WeylElement:
 def enumerate_group(system: RootSystem, generators=None):
     """All elements of the group generated by `generators` (default: all s_i).
 
-    Deterministic BFS over the Cayley graph; raises SubgroupTooLarge past
-    GROUP_ENUMERATION_CAP elements, read at each call.
+    The generators must be the reflections of a simple system: positive
+    roots a_1, ..., a_k with <a_i, a_j^vee> <= 0 for i != j, such as the
+    simple reflections or a reflection subgroup's `simple_reflections`.
+    Their positive roots are then the ambient positive roots they span, so
+    the right descents of w are the i with w(a_i) < 0, and the group is the
+    descent tree in which the parent of x != e is x s_i, i its smallest
+    right descent.  A child w s_i of w is kept when i is not a descent of w
+    and every j < i is an ascent of w s_i, where (w s_i)(a_j) = w(a_j) -
+    <a_j, a_i^vee> w(a_i); a root's sign is that of its height, so each
+    node carries the heights of w(a_j) and decides on a child before it is
+    built.  Each element is built once.  A non-reflection raises
+    NotAReflection, a reflection of another system SystemMismatch and two
+    roots that pair positively ValueError; more than GROUP_ENUMERATION_CAP
+    elements, read at each call, raise SubgroupTooLarge.
     """
     if generators is None:
         generators = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
-    e = identity_element(system)
-    seen = {e}
-    queue = deque([e])
-    while queue:
-        w = queue.popleft()
-        for g in generators:
-            x = w * g
-            if x not in seen:
-                if len(seen) >= GROUP_ENUMERATION_CAP:
-                    raise SubgroupTooLarge(f"more than {GROUP_ENUMERATION_CAP} elements")
-                seen.add(x)
-                queue.append(x)
-    return seen
+    refls = [root_reflection(system, reflection_root(system, t))._refl for t in generators]
+    # pairs[i][j] = <a_j, a_i^vee>
+    pairs = [[sum(map(mul, coroot, root)) for root, _ in refls] for _, coroot in refls]
+    for i, row in enumerate(pairs):
+        for j, c in enumerate(row):
+            if i != j and c > 0:
+                raise ValueError(
+                    f"roots {refls[j][0]} and {refls[i][0]} pair positively: "
+                    "not a simple system"
+                )
+    n, cap = system.rank, GROUP_ENUMERATION_CAP
+    out = set()
+    stack = [(identity_element(system), tuple(sum(root) for root, _ in refls))]
+    while stack:
+        w, heights = stack.pop()
+        if len(out) >= cap:
+            raise SubgroupTooLarge(f"more than {cap} elements")
+        out.add(w)
+        for i, (refl, row) in enumerate(zip(refls, pairs)):
+            h = heights[i]
+            if h > 0:
+                child = tuple(x - c * h for x, c in zip(heights, row))
+                if all(x > 0 for x in child[:i]):
+                    stack.append(
+                        (_element(system, _times_reflection(w._m, refl, n)), child)
+                    )
+    return out
 
 
 def group_order(system: RootSystem) -> int:
@@ -542,7 +620,10 @@ def reflection_root(system: RootSystem, t: WeylElement):
 
     Only beta = +-alpha can satisfy s_alpha(beta) = -beta, so the scan first
     locates the candidate root and then matches t against s_alpha exactly.
+    An element of another system raises SystemMismatch.
     """
+    if t.system is not system and t.system.label != system.label:
+        raise SystemMismatch(f"{t.system.label} vs {system.label}")
     for alpha in system.positive_roots:
         if t.act_root(alpha) == tuple(-c for c in alpha):
             if t == root_reflection(system, alpha):

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shlex
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -251,3 +252,18 @@ def test_readme_commands_are_found():
 def test_readme_command_exits_zero(capsys, command):
     code, out, err = run_cli(capsys, *shlex.split(command)[1:])
     assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_entropy_csv_matches_pair_counts(capsys, n):
+    lines = ["one_line,length,invsum,ninvsum,entropy,cosine"]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for w in permutations(range(1, n + 1)):
+        inv = [j - i for i, j in pairs if w[i - 1] > w[j - 1]]
+        non = [j - i for i, j in pairs if w[i - 1] < w[j - 1]]
+        entropy = sum((k - v) ** 2 for k, v in enumerate(w, start=1))
+        cosine = sum(k * v for k, v in enumerate(w, start=1))
+        row = ("".join(map(str, w)), len(inv), sum(inv), sum(non), entropy, cosine)
+        lines.append(",".join(map(str, row)))
+    code, out, err = run_cli(capsys, "entropy", "--n", str(n))
+    assert (code, out, err) == (0, "\r\n".join(lines) + "\r\n", "")

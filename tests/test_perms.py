@@ -14,7 +14,9 @@ from atomic.perms import (
     invsum,
     longest_permutation,
     ninvsum,
+    non_inversions,
     permutohedron_distance_sq,
+    statistics,
     to_weyl,
 )
 from atomic.rootdata import root_system
@@ -81,6 +83,26 @@ def test_rejects_non_permutation():
         invsum((1, 1, 2))
     with pytest.raises(ValueError):
         cosine((0, 1, 2))
+
+
+def test_rejects_entries_that_are_not_ints():
+    for w in ((2.0, 1.0), (2, 1.0), (True,), (2, True), ("1",)):
+        with pytest.raises(ValueError, match="not an int"):
+            check_permutation(w)
+    with pytest.raises(ValueError):
+        entropy((2.0, 1.0))
+    with pytest.raises(ValueError):
+        statistics((True,))
+    assert check_permutation([2, 1]) == (2, 1)
+
+
+def test_statistics_match_the_single_statistics():
+    for n in range(1, 8):
+        for w in permutations(range(1, n + 1)):
+            assert statistics(w) == (
+                len(inversions(w)), invsum(w), ninvsum(w), entropy(w), cosine(w)
+            )
+            assert len(inversions(w)) + len(non_inversions(w)) == n * (n - 1) // 2
 
 
 def test_to_weyl_examples():

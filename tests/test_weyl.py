@@ -1,9 +1,12 @@
 import random
+from collections import deque
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomic import weyl
 from atomic.errors import (
@@ -32,6 +35,7 @@ from atomic.weyl import (
     standard_parabolic,
     utopic_check,
 )
+from atomic.susanfe import special_reflection
 from test_parabolic import ALL_TYPES_TO_RANK_8
 
 
@@ -403,3 +407,142 @@ def test_utopic_counts_type_b():
     frozen = {"B2": 8, "B3": 32, "B4": 192}
     for label, expected in frozen.items():
         assert _utopic_count(label) == expected
+
+
+# -- the descent-tree enumeration against a breadth-first reference -------------
+
+
+def bfs_group(system, generators):
+    """Reference: breadth-first search of the Cayley graph, keeping each
+    product by a generator that has not been seen yet."""
+    e = identity_element(system)
+    seen = {e}
+    queue = deque([e])
+    while queue:
+        w = queue.popleft()
+        for g in generators:
+            x = w * g
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+    return seen
+
+
+@pytest.mark.parametrize("spec", SMALL_RANK_TYPES)
+def test_enumerate_group_matches_bfs_on_every_parabolic(spec):
+    system = root_system(spec)
+    nodes = range(1, system.rank + 1)
+    for size in range(system.rank + 1):
+        for subset in combinations(nodes, size):
+            gens = [simple_reflection(system, i) for i in subset]
+            want = bfs_group(system, gens)
+            assert enumerate_group(system, gens) == want
+            assert standard_parabolic(system, subset).elements() == want
+
+
+def test_enumerate_group_matches_bfs_on_e6():
+    e6 = root_system("E6")
+    gens = [simple_reflection(e6, i) for i in range(1, 7)]
+    got = enumerate_group(e6)
+    assert len(got) == 51840
+    assert got == bfs_group(e6, gens)
+
+
+def reflection_subgroups():
+    """Subgroups given by reflections that are not simple: the A3 example
+    (1,2,1), (3); the conjugates t W_I t of the Susanfe checks in A3, B3 and
+    B4 (t the special reflection, I = 2..n); <s_theta, s_3> in B3; and the
+    long-root subgroups of B4 (type D4) and G2 (type A2)."""
+    a3, b3 = root_system("A3"), root_system("B3")
+    yield ReflectionSubgroup(a3, [evaluate(a3, (1, 2, 1)), evaluate(a3, (3,))])
+    for label in ("A3", "B3", "B4"):
+        system = root_system(label)
+        t = special_reflection(system).element
+        sub = standard_parabolic(system, range(2, system.rank + 1))
+        yield ReflectionSubgroup(system, [t * s * t for s in sub.simple_reflections])
+    yield ReflectionSubgroup(
+        b3, [root_reflection(b3, b3.highest_root), simple_reflection(b3, 3)]
+    )
+    for label in ("B4", "G2"):
+        system = root_system(label)
+        norm = system.scaled_inner_product
+        yield ReflectionSubgroup(system, [
+            root_reflection(system, r) for r in system.positive_roots
+            if norm(r, r) == 2 * system.gram_scale
+        ])
+
+
+def test_enumerate_group_matches_bfs_on_canonical_generators():
+    orders = []
+    for sub in reflection_subgroups():
+        simple = {sub.system.simple_root(i) for i in range(1, sub.system.rank + 1)}
+        if not set(sub.delta) <= simple:
+            orders.append(len(sub.elements()))
+        assert sub.elements() == bfs_group(sub.system, sub.generators)
+    assert orders == [6, 4, 192, 6]  # the subgroups that are not parabolic
+
+
+def test_enumerate_group_builds_each_element_once(monkeypatch):
+    for label, order in (("D5", 1920), ("F4", 1152)):
+        system = root_system(label)
+        for i in range(1, system.rank + 1):
+            simple_reflection(system, i)  # cached before counting
+        built = []
+        real = weyl._element
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weyl, "_element", counting)
+        assert len(enumerate_group(system)) == order
+        monkeypatch.setattr(weyl, "_element", real)
+        assert len(built) == order
+
+
+def test_enumerate_group_refuses_a_non_simple_system():
+    a2, a3, b3, c3 = (root_system(label) for label in ("A2", "A3", "B3", "C3"))
+    with pytest.raises(NotAReflection):
+        enumerate_group(a3, [evaluate(a3, (1, 2))])
+    with pytest.raises(SystemMismatch):
+        enumerate_group(a3, [simple_reflection(a2, 1)])
+    with pytest.raises(SystemMismatch):
+        enumerate_group(b3, [simple_reflection(c3, 1)])
+    # <alpha_1, (alpha_1 + alpha_2)^vee> = 1, and a repeated root pairs to 2
+    for gens in (
+        [simple_reflection(a3, 1), evaluate(a3, (1, 2, 1))],
+        [simple_reflection(a3, 2), simple_reflection(a3, 2)],
+    ):
+        with pytest.raises(ValueError, match="not a simple system"):
+            enumerate_group(a3, gens)
+
+
+# -- inversion sets and reflections against the flat matrix ---------------------
+
+
+def image(w, x):
+    """w(x) = sum_j x_j w(alpha_j), from the columns of the matrix."""
+    return tuple(sum(c * col[k] for c, col in zip(x, w.cols)) for k in range(len(x)))
+
+
+@pytest.mark.parametrize("spec", ["G2", "B4", "D4", "F4"])
+def test_inversion_set_matches_negated_images(spec):
+    system = root_system(spec)
+    for w in enumerate_group(system):
+        want = [tuple(-c for c in image(w, b)) for b in system.positive_roots]
+        want = [r for r in want if r in system.root_index]
+        assert w.inversion_set() == tuple(sorted(want, key=system.root_index.get))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    label=st.sampled_from(["A4", "B3", "C4", "D5", "E6", "F4", "G2"]),
+    data=st.data(),
+)
+def test_reflection_acts_as_its_matrix(label, data):
+    system = root_system(label)
+    x = data.draw(st.lists(st.integers(-9, 9), min_size=system.rank, max_size=system.rank))
+    for beta in system.positive_roots:
+        t = root_reflection(system, beta)
+        assert t.act_root(x) == image(t, x)
+        assert t.act_root(tuple(x)) == image(t, x)
