@@ -81,7 +81,7 @@ def _reflect(refl, x):
     """s_beta(x) = x - <x, beta^vee> beta for refl = (beta, coroot row)."""
     root, coroot = refl
     k = sum(map(mul, coroot, x))
-    return tuple(c - k * r for c, r in zip(x, root)) if k else tuple(x)
+    return tuple([c - k * r for c, r in zip(x, root)]) if k else tuple(x)
 
 
 def _times_reflection(a, refl, n):
@@ -370,32 +370,23 @@ def enumerate_group(system: RootSystem, generators=None):
     """All elements of the group generated by `generators` (default: all s_i).
 
     The generators must be the reflections of a simple system: positive
-    roots a_1, ..., a_k with <a_i, a_j^vee> <= 0 for i != j, such as the
-    simple reflections or a reflection subgroup's `simple_reflections`.
-    Their positive roots are then the ambient positive roots they span, so
-    the right descents of w are the i with w(a_i) < 0, and the group is the
-    descent tree in which the parent of x != e is x s_i, i its smallest
-    right descent.  A child w s_i of w is kept when i is not a descent of w
-    and every j < i is an ascent of w s_i, where (w s_i)(a_j) = w(a_j) -
-    <a_j, a_i^vee> w(a_i); a root's sign is that of its height, so each
-    node carries the heights of w(a_j) and decides on a child before it is
-    built.  Each element is built once.  A non-reflection raises
-    NotAReflection, a reflection of another system SystemMismatch and two
-    roots that pair positively ValueError; more than GROUP_ENUMERATION_CAP
-    elements, read at each call, raise SubgroupTooLarge.
+    roots a_i with <a_i, a_j^vee> <= 0 for i != j, such as the simple
+    reflections or `ReflectionSubgroup.simple_reflections`.  The walk is the
+    descent tree of the module docstring: w s_i is a child of w when w(a_i)
+    > 0 and (w s_i)(a_j) = w(a_j) - <a_j, a_i^vee> w(a_i) > 0 for every j <
+    i.  A root has the sign of its height, so each node carries the heights
+    of the w(a_j) and a child is built only once it is kept.  A
+    non-reflection raises NotAReflection, another system's reflection
+    SystemMismatch and a positive pairing ValueError; more than
+    GROUP_ENUMERATION_CAP elements, read at each call, raise SubgroupTooLarge.
     """
     if generators is None:
         generators = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
     refls = [root_reflection(system, reflection_root(system, t))._refl for t in generators]
     # pairs[i][j] = <a_j, a_i^vee>
     pairs = [[sum(map(mul, coroot, root)) for root, _ in refls] for _, coroot in refls]
-    for i, row in enumerate(pairs):
-        for j, c in enumerate(row):
-            if i != j and c > 0:
-                raise ValueError(
-                    f"roots {refls[j][0]} and {refls[i][0]} pair positively: "
-                    "not a simple system"
-                )
+    if any(c > 0 for i, row in enumerate(pairs) for j, c in enumerate(row) if i != j):
+        raise ValueError("generator roots that pair positively are not a simple system")
     n, cap = system.rank, GROUP_ENUMERATION_CAP
     out = set()
     stack = [(identity_element(system), tuple(sum(root) for root, _ in refls))]
