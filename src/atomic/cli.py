@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from itertools import permutations
 
 from . import affine, atomiclen, cores, fixtures, perms, susanfe
 from .errors import (
@@ -196,8 +195,8 @@ def cmd_entropy(args):
     writer.writerow(
         ["one_line", "length", "invsum", "ninvsum", "entropy", "cosine"]
     )
-    for w in permutations(range(1, args.n + 1)):
-        writer.writerow(["".join(map(str, w)), *perms.statistics(w)])
+    for w, row in perms.statistics_table(args.n):
+        writer.writerow(["".join(map(str, w)), *row])
     return 0
 
 

@@ -554,12 +554,10 @@ def check_entropy_bridges():
     ok = True
     for n in range(1, 7):
         cw0 = perms.cosine(perms.longest_permutation(n))
-        for w in permutations(range(1, n + 1)):
-            if perms.entropy(w) != 2 * perms.invsum(w):
-                ok = False
-            if perms.cosine(w) != cw0 + perms.ninvsum(w):
-                ok = False
-            if perms.invsum(w) + perms.ninvsum(w) != n * (n + 1) * (n - 1) // 6:
+        pair_total = n * (n + 1) * (n - 1) // 6
+        # each column of the table is computed by its own definition
+        for _, (_, inv, ninv, ent, cos) in perms.statistics_table(n):
+            if ent != 2 * inv or cos != cw0 + ninv or inv + ninv != pair_total:
                 ok = False
     out.append(_result("entropy-identities-n<=6", ok, ""))
     probe = perms.cosine_range_probe(8, 30)
@@ -595,8 +593,12 @@ def check_simply_laced_symmetry():
     out = []
     for label in ("A4", "D4"):
         system = root_system(label)
+        # w^{-1} w fixes the regular S rho only if it is e, so a wrong
+        # inverse fails here instead of passing the comparison vacuously
+        rho = system.scaled_root_coords((1,) * system.rank)
         ok = all(
-            atomiclen.atomic_length(w) == atomiclen.atomic_length(w.inverse())
+            w.inverse().act_root(w.act_root(rho)) == rho
+            and atomiclen.atomic_length(w) == atomiclen.atomic_length(w.inverse())
             for w in weyl.enumerate_group(system)
         )
         out.append(_result(f"symmetry/{label}", ok, ""))

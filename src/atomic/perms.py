@@ -32,7 +32,19 @@ def check_permutation(w) -> OneLine:
 def statistics(w) -> tuple[int, int, int, int, int]:
     """(length, invsum, ninvsum, entropy, cosine) of w, validated once and
     read from one pass over its pairs, each by its own definition."""
-    w = check_permutation(w)
+    return _statistics(check_permutation(w))
+
+
+def statistics_table(n: int):
+    """Yield (w, statistics(w)) for every permutation w of 1..n, in
+    lexicographic order.  `itertools.permutations` builds each w from 1..n,
+    so none is validated again."""
+    for w in permutations(range(1, n + 1)):
+        yield w, _statistics(w)
+
+
+def _statistics(w):
+    """`statistics` of a tuple already known to permute 1..n."""
     n = len(w)
     length = inv = ninv = 0
     for i in range(n):

@@ -2,14 +2,21 @@
 
 Elements are integer matrices acting on simple-root coordinates; column i of
 the matrix is the image of alpha_i.  The matrix is stored flat, column after
-column, and it is the only matrix an element holds.  W acts by isometries of
-its invariant form (Humphreys, Reflection Groups and Coxeter Groups, ch. 1),
-so with G = E A the integer Gram matrix of `rootdata` (A the Cartan matrix,
-E = diag(G_ii / 2)) every inverse is w^{-1} = G^{-1} w^T G = A^{-1} E^{-1}
-w^T G, read from the one stored matrix a vector at a time.  Words multiply
-by ordinary composition: the word [i1, i2, ..., ir] evaluates to
+column, and it is the only matrix an element holds.  Words multiply by
+ordinary composition: the word [i1, i2, ..., ir] evaluates to
 s_{i1} o s_{i2} o ... o s_{ir}, i.e. the rightmost letter acts first.
 Equality and hashing go through the matrix, never through words.
+
+Inverses take one of two routes.  An element that `enumerate_group` built as
+w = x s_beta from its parent x in the descent tree below is inverted as
+w^{-1} = s_beta x^{-1}: one product on the left by the reflection, after the
+parent's inverse.  Any other element reads its inverse from the form: W acts
+by isometries of its invariant form (Humphreys, Reflection Groups and
+Coxeter Groups, ch. 1), so with G = E A the integer Gram matrix of
+`rootdata` (A the Cartan matrix, E = diag(G_ii / 2)) w^{-1} = G^{-1} w^T G =
+A^{-1} E^{-1} w^T G, read from the one stored matrix a vector at a time
+(`act_inverse_root`).  Either way the inverse is computed when first asked
+for and kept.
 
 Each element and each root image is built by one rank-one step.  A
 reflection s_beta acts through its coroot row, x -> x - <x, beta^vee> beta,
@@ -31,7 +38,6 @@ through it.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from operator import add, mul
 
@@ -112,20 +118,30 @@ def _product(a, a_refl, b, b_refl, n):
     return tuple(out)
 
 
-def _element(system: RootSystem, flat, refl=None) -> "WeylElement":
+def _element(
+    system: RootSystem, flat, refl=None, parent=None, step=None
+) -> "WeylElement":
+    """An element from its flat matrix; `refl` is its own (root, coroot row)
+    when it is a reflection, and `parent`, `step` record w = parent s_step
+    for an element of the descent tree."""
     w = object.__new__(WeylElement)
     w.system = system
     w._m = flat
     w._refl = refl
     w._hash = hash(flat)
     w._inversions = None
+    w._parent = parent
+    w._step = step
+    w._inverse = None
     return w
 
 
 class WeylElement:
     """A Weyl group element as an integer matrix in simple-root coordinates."""
 
-    __slots__ = ("system", "_m", "_refl", "_hash", "_inversions")
+    __slots__ = (
+        "system", "_m", "_refl", "_hash", "_inversions", "_parent", "_step", "_inverse"
+    )
 
     def __init__(self, system: RootSystem, cols):
         # the inverse read from the form is only right when M^T G M = G
@@ -139,6 +155,7 @@ class WeylElement:
         self._refl = None
         self._hash = hash(self._m)
         self._inversions = None
+        self._parent = self._step = self._inverse = None
 
     @property
     def cols(self) -> tuple[tuple[int, ...], ...]:
@@ -155,11 +172,21 @@ class WeylElement:
         return _element(self.system, flat)
 
     def inverse(self) -> "WeylElement":
+        """w^{-1} by the routes of the module docstring, kept once computed;
+        a reflection is its own inverse."""
         if self._refl is not None:
             return self
-        simple = map(self.system.simple_root, range(1, self.system.rank + 1))
-        flat = tuple(x for root in simple for x in self.act_inverse_root(root))
-        return _element(self.system, flat)
+        if self._inverse is None:
+            system, n, parent = self.system, self.system.rank, self._parent
+            if parent is None:
+                simple = map(system.simple_root, range(1, n + 1))
+                flat = tuple(x for root in simple for x in self.act_inverse_root(root))
+            else:
+                # w = x s_beta, so w^{-1} = s_beta x^{-1}; a reflection on the
+                # left acts through its (root, coroot row) alone
+                flat = _product(None, self._step, parent.inverse()._m, None, n)
+            self._inverse = _element(system, flat)
+        return self._inverse
 
     def is_identity(self) -> bool:
         return self._m == _identity_flat(self.system.rank)
@@ -352,9 +379,10 @@ def inversion_set_from_word(system: RootSystem, word):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def longest_element(system: RootSystem) -> WeylElement:
     """Greedy ascent: multiply by s_i while w(alpha_i), column i of w, stays
-    positive."""
+    positive.  Built on first use and kept per system, as `_scaled_rho` is."""
     w = identity_element(system)
     n = system.rank
     while True:
@@ -375,10 +403,12 @@ def enumerate_group(system: RootSystem, generators=None):
     descent tree of the module docstring: w s_i is a child of w when w(a_i)
     > 0 and (w s_i)(a_j) = w(a_j) - <a_j, a_i^vee> w(a_i) > 0 for every j <
     i.  A root has the sign of its height, so each node carries the heights
-    of the w(a_j) and a child is built only once it is kept.  A
-    non-reflection raises NotAReflection, another system's reflection
-    SystemMismatch and a positive pairing ValueError; more than
-    GROUP_ENUMERATION_CAP elements, read at each call, raise SubgroupTooLarge.
+    of the w(a_j) and a child is built only once it is kept; it records its
+    parent and generator, from which `WeylElement.inverse` builds its
+    inverse when asked.  A non-reflection raises NotAReflection, another
+    system's reflection SystemMismatch and a positive pairing ValueError;
+    more than GROUP_ENUMERATION_CAP elements, read at each call, raise
+    SubgroupTooLarge.
     """
     if generators is None:
         generators = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
@@ -400,9 +430,8 @@ def enumerate_group(system: RootSystem, generators=None):
             if h > 0:
                 child = tuple(x - c * h for x, c in zip(heights, row))
                 if all(x > 0 for x in child[:i]):
-                    stack.append(
-                        (_element(system, _times_reflection(w._m, refl, n)), child)
-                    )
+                    flat = _times_reflection(w._m, refl, n)
+                    stack.append((_element(system, flat, None, w, refl), child))
     return out
 
 
@@ -534,32 +563,18 @@ def reduced_words(w: WeylElement):
 class ReflectionSubgroup:
     """A reflection subgroup W_A with its canonical simple system Delta_A.
 
-    Delta_A is Dyer's set { alpha in Phi_A^+ : N(s_alpha) cap Phi_A = {alpha} }
-    and Phi_A is obtained by closing the generating roots under mutual
-    reflection.
+    Phi_A is the orbit of the generating roots under the generating
+    reflections: every reflection of W_A is conjugate in W_A to a generator
+    (Dyer, J. Algebra 135, 1990; Deodhar 1989), so closing the generating
+    roots under the generators alone (`_root_closure`) reaches every root.
+    Delta_A is Dyer's set { alpha in Phi_A^+ : N(s_alpha) cap Phi_A = {alpha} }.
     """
 
     def __init__(self, system: RootSystem, generators):
         self.system = system
         self.generators = tuple(generators)
         gen_roots = [reflection_root(system, t) for t in self.generators]
-
-        # Close the generating roots under mutual reflection.  Processing a
-        # root pairs it with everything already present, and later additions
-        # pick up the earlier ones when their own turn comes.
-        closure = set()
-        pending = deque(gen_roots)
-        while pending:
-            c = pending.popleft()
-            if c in closure:
-                continue
-            rc = root_reflection(system, c)
-            for x in list(closure):
-                for img in (rc.act_root(x), root_reflection(system, x).act_root(c)):
-                    pos = img if any(v > 0 for v in img) else tuple(-v for v in img)
-                    if pos not in closure:
-                        pending.append(pos)
-            closure.add(c)
+        closure = _root_closure([root_reflection(system, a)._refl for a in gen_roots])
         order = system.root_index
         self.phi_plus = tuple(sorted(closure, key=order.__getitem__))
         self._phi_set = frozenset(self.phi_plus)
@@ -604,6 +619,25 @@ class ReflectionSubgroup:
 
     def __repr__(self):
         return f"ReflectionSubgroup({self.system.label}, |Delta_A|={len(self.delta)})"
+
+
+def _root_closure(refls):
+    """The positive roots of the group generated by the reflections `refls`,
+    given as (root, coroot row) pairs: the orbit of their roots under them,
+    each made positive.  Each root found is reflected once by each
+    generator, |Phi_A^+| * |refls| reflections in all."""
+    closure = {root for root, _ in refls}
+    pending = list(closure)
+    while pending:
+        x = pending.pop()
+        for refl in refls:
+            img = _reflect(refl, x)
+            if sum(img) < 0:  # a root has the sign of its height
+                img = tuple(-c for c in img)
+            if img not in closure:
+                closure.add(img)
+                pending.append(img)
+    return closure
 
 
 def reflection_root(system: RootSystem, t: WeylElement):

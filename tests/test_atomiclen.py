@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -241,11 +240,6 @@ def test_simply_laced_symmetry_on_random_words(label, data):
     assert atomic_length(w) == atomic_length(w.inverse())
 
 
-@lru_cache(maxsize=None)
-def cached_longest_element(label):
-    return longest_element(root_system(label))
-
-
 @pytest.mark.parametrize("label", ALL_TYPES_TO_RANK_8)
 @WORDS
 @given(data=st.data())
@@ -256,7 +250,7 @@ def test_w0_antisymmetry_on_random_words(label, data):
     fund = data.draw(st.lists(st.integers(0, 2), min_size=system.rank, max_size=system.rank))
     w, lam = evaluate(system, word), system.weight(*fund)
     top = atomic_length_w0(system, lam)
-    assert lambda_atomic_length(cached_longest_element(label) * w, lam) == (
+    assert lambda_atomic_length(longest_element(system) * w, lam) == (
         top - lambda_atomic_length(w, lam)
     )
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from atomic import affine, cli, fixtures
+from atomic import affine, cli, fixtures, weyl
 from atomic.cli import main
 from test_acceptance import assert_fixture_group
 
@@ -138,6 +138,20 @@ def test_one_table_feeds_verify_and_acceptance(capsys, monkeypatch):
     assert len(failed) == 1 and failed[0].startswith("FAIL  rank2-image/A2  ")
     with pytest.raises(AssertionError, match="rank2-image/A2"):
         assert_fixture_group(fixtures.check_rank2_image_sets)
+
+
+def test_symmetry_check_compares_two_routes(monkeypatch):
+    # with the inverse replaced by the element itself, L(w) = L(w^{-1})
+    # holds vacuously: the G2 pair (3, 5) can no longer be seen, and the A4
+    # and D4 checks see that w^{-1} w moves rho
+    monkeypatch.setattr(weyl.WeylElement, "inverse", lambda self: self)
+    results = {label: ok for label, ok, _ in fixtures.check_simply_laced_symmetry()}
+    assert results == {
+        "symmetry/A4": False,
+        "symmetry/D4": False,
+        "symmetry/g2-counterexample": False,
+        "symmetry/d4-example-15": True,
+    }
 
 
 @pytest.mark.parametrize(

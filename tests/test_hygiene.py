@@ -8,6 +8,7 @@ The package checks its invariants by raising `InvariantViolation`, because
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -149,11 +150,21 @@ def test_verify_passes_under_optimized_mode():
         os.environ,
         PYTHONPATH=str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""),
     )
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "atomic.cli", "verify"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    *checks, summary = result.stdout.splitlines()
+
+    def verify(*flags):
+        return subprocess.run(
+            [sys.executable, *flags], capture_output=True, env=env, timeout=120
+        )
+
+    result = verify("-O", "-m", "atomic.cli", "verify")
+    out = result.stdout.decode()
+    assert result.returncode == 0, out + result.stderr.decode()
+    *checks, summary = out.splitlines()
     assert checks and all(line.startswith("PASS  ") for line in checks)
     assert summary == f"{len(checks)}/{len(checks)} checks passed"
+    # the JSON report, details included, is the same byte for byte without -O
+    optimized = verify("-O", "-m", "atomic.cli", "verify", "--json")
+    plain = verify("-m", "atomic.cli", "verify", "--json")
+    assert optimized.returncode == plain.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["failures"] == 0

@@ -190,14 +190,48 @@ def test_eliminate_refuses_a_vanishing_leading_minor(rows):
 # -- inverses from the invariant form -------------------------------------------
 
 
-@pytest.mark.parametrize("label", ["B3", "G2", "F4"])
+@pytest.mark.parametrize("label", ["A4", "B3", "D4", "G2", "F4"])
 def test_carried_inverse_matches_gauss_jordan(label):
+    # inverse() follows the descent tree, act_inverse_root reads the form
     system = root_system(label)
     for w in enumerate_group(system):
         expected = ref_inverse(rows_of(w.cols))
         assert rows_of(w.inverse().cols) == expected
         beta = system.highest_root
         assert list(w.act_inverse_root(beta)) == ref_apply(expected, beta)
+
+
+def test_inverse_on_a_reflection_subgroup_tree():
+    # the long roots of B4 span a D4 whose canonical simple system holds
+    # e_3 + e_4, which is not simple in B4; its tree steps are those roots
+    b4 = root_system("B4")
+    norm = b4.scaled_inner_product
+    top = norm(b4.highest_root, b4.highest_root)
+    sub = weyl.ReflectionSubgroup(b4, [
+        root_reflection(b4, r) for r in b4.positive_roots if norm(r, r) == top
+    ])
+    simple = {b4.simple_root(i) for i in range(1, 5)}
+    assert not set(sub.delta) <= simple
+    elements = sub.elements()
+    assert len(elements) == 192
+    for w in elements:
+        assert rows_of(w.inverse().cols) == ref_inverse(rows_of(w.cols))
+
+
+def test_tree_elements_invert_by_left_products(monkeypatch):
+    # only the identity at the root of the tree reads the form
+    d4 = root_system("D4")
+    elements = enumerate_group(d4)
+    calls = []
+    real = WeylElement.act_inverse_root
+
+    def counting(self, coords):
+        calls.append(1)
+        return real(self, coords)
+
+    monkeypatch.setattr(WeylElement, "act_inverse_root", counting)
+    assert all((w * w.inverse()).is_identity() for w in elements)
+    assert len(calls) == d4.rank
 
 
 def test_inverse_of_explicit_columns():

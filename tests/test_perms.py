@@ -17,6 +17,7 @@ from atomic.perms import (
     non_inversions,
     permutohedron_distance_sq,
     statistics,
+    statistics_table,
     to_weyl,
 )
 from atomic.rootdata import root_system
@@ -83,17 +84,27 @@ def test_rejects_non_permutation():
         invsum((1, 1, 2))
     with pytest.raises(ValueError):
         cosine((0, 1, 2))
+    # statistics_table skips the check; statistics keeps it for its callers
+    for w in ((1, 1, 2), (0, 1), (1, 3), (2, 3, 1, 5)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            statistics(w)
 
 
 def test_rejects_entries_that_are_not_ints():
     for w in ((2.0, 1.0), (2, 1.0), (True,), (2, True), ("1",)):
-        with pytest.raises(ValueError, match="not an int"):
-            check_permutation(w)
+        for check in (check_permutation, statistics):
+            with pytest.raises(ValueError, match="not an int"):
+                check(w)
     with pytest.raises(ValueError):
         entropy((2.0, 1.0))
-    with pytest.raises(ValueError):
-        statistics((True,))
     assert check_permutation([2, 1]) == (2, 1)
+
+
+def test_statistics_table_lists_every_permutation_once():
+    for n in range(1, 7):
+        table = list(statistics_table(n))
+        assert [w for w, _ in table] == list(permutations(range(1, n + 1)))
+        assert all(row == statistics(w) for w, row in table)
 
 
 def test_statistics_match_the_single_statistics():

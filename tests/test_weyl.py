@@ -208,6 +208,93 @@ def test_dyer_delta_characterisation():
         assert (meets == {a}) == (a in sub.delta)
 
 
+def mutual_closure(system, gen_roots):
+    """Reference closure: every root found is reflected in every other, in
+    both orders, until nothing new appears (quadratic in |Phi_A^+|)."""
+    closure = set()
+    pending = deque(gen_roots)
+    while pending:
+        c = pending.popleft()
+        if c in closure:
+            continue
+        rc = root_reflection(system, c)
+        for x in list(closure):
+            for img in (rc.act_root(x), root_reflection(system, x).act_root(c)):
+                pos = img if any(v > 0 for v in img) else tuple(-v for v in img)
+                if pos not in closure:
+                    pending.append(pos)
+        closure.add(c)
+    return closure
+
+
+def reference_subgroup(system, generators):
+    """(phi_plus, delta, cartan) from the mutual closure, Dyer's definition
+    of Delta_A and the form."""
+    gen_roots = [weyl.reflection_root(system, t) for t in generators]
+    phi = tuple(sorted(mutual_closure(system, gen_roots), key=system.root_index.get))
+    delta = tuple(
+        a for a in phi if set(root_reflection(system, a).inversion_set()) & set(phi) == {a}
+    )
+    g = system.scaled_inner_product
+    cartan = []
+    for a in delta:
+        row = [divmod(2 * g(b, a), g(a, a)) for b in delta]
+        assert all(r == 0 for _, r in row)
+        cartan.append(tuple(q for q, _ in row))
+    return phi, delta, tuple(cartan)
+
+
+def subgroup_data(sub):
+    return sub.phi_plus, sub.delta, sub.cartan
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_root_closure_matches_mutual_reflection(label):
+    system = root_system(label)
+    for a, b in combinations(system.positive_roots, 2):
+        gens = [root_reflection(system, a), root_reflection(system, b)]
+        assert subgroup_data(ReflectionSubgroup(system, gens)) == reference_subgroup(
+            system, gens
+        )
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "B3", "B4", "C3", "C4", "D4", "D5"])
+def test_root_closure_matches_mutual_reflection_on_susanfe_conjugates(label):
+    system = root_system(label)
+    t = special_reflection(system).element
+    sub = standard_parabolic(system, range(2, system.rank + 1))
+    assert subgroup_data(sub) == reference_subgroup(system, sub.generators)
+    gens = [t * s * t for s in sub.simple_reflections]
+    assert subgroup_data(ReflectionSubgroup(system, gens)) == reference_subgroup(
+        system, gens
+    )
+
+
+def test_root_closure_reflects_each_root_once_per_generator(monkeypatch):
+    # the A10 parabolic on nodes 2..10: 45 positive roots, 9 generators; the
+    # mutual closure applies about 2 * 45 * 44 / 2 reflections
+    a10 = root_system("A10")
+    gens = [simple_reflection(a10, i) for i in range(2, 11)]
+    calls = []
+    real_reflect, real_closure = weyl._reflect, weyl._root_closure
+
+    def counting_reflect(refl, x):
+        calls.append(1)
+        return real_reflect(refl, x)
+
+    def counted_closure(refls):
+        monkeypatch.setattr(weyl, "_reflect", counting_reflect)
+        try:
+            return real_closure(refls)
+        finally:
+            monkeypatch.setattr(weyl, "_reflect", real_reflect)
+
+    monkeypatch.setattr(weyl, "_root_closure", counted_closure)
+    sub = ReflectionSubgroup(a10, gens)
+    assert len(sub.phi_plus) == 45 and len(sub.delta) == 9
+    assert 0 < len(calls) <= 45 * 9
+
+
 def test_subgroup_root_coordinates_nonnegative():
     a3 = root_system("A3")
     sub = ReflectionSubgroup(a3, [evaluate(a3, (1, 2, 1)), evaluate(a3, (3,))])
