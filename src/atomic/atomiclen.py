@@ -20,6 +20,8 @@ from .linalg import exact_div
 from .rootdata import RootSystem, Weight
 from .weyl import (
     WeylElement,
+    _descent_tree,
+    _scaled_rho,
     dominant_orbit_size,
     group_order,
     inversion_set_from_word,
@@ -30,8 +32,11 @@ ORBIT_CAP = 2**27
 
 
 def atomic_length(w: WeylElement):
-    """Sum of the heights of the inversions of w."""
-    return sum(w.system.height(a) for a in w.inversion_set())
+    """Sum of the heights of the inversions of w, read as ht(rho - w rho):
+    rho - w rho is the sum of N(w).  Runs on S rho (S = `weight_scale`)."""
+    system, scaled = w.system, _scaled_rho(w.system)
+    drop = sum(scaled) - sum(w.act_root(scaled))
+    return exact_div(drop, system.weight_scale, "ht(rho - w rho)")
 
 
 def lambda_atomic_length(w: WeylElement, lam: Weight):
@@ -65,7 +70,6 @@ class LambdaInversionSet:
 
     rank: int
     entries: tuple[LambdaInvEntry, ...]
-    source_word: tuple[int, ...]
 
     def vectors(self):
         return tuple(e.vector for e in self.entries)
@@ -87,7 +91,7 @@ def lambda_inversion_set(system: RootSystem, word, lam: Weight) -> LambdaInversi
         entries.append(
             LambdaInvEntry(tuple(m * c for c in root), letter, occurrences[letter])
         )
-    return LambdaInversionSet(system.rank, tuple(entries), tuple(word))
+    return LambdaInversionSet(system.rank, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -162,34 +166,31 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
 
     def plan(nodes):
         """The split node p (a position in nodes) with the fewest cosets,
-        the Cartan columns on nodes, and the orbit of omega_p as a tree:
-        one (parent, i, rows) per coset representative u = s_i u_parent,
-        rows holding u(alpha_j) for j in J' in simple-root coordinates.
-        As in `weyl._orbit_tree`, s_i(u_parent) is kept only when i is its
-        smallest node with a negative coordinate, so each representative
-        has one parent and no seen set is needed; parents precede their
-        children in the list."""
+        the Cartan columns on nodes, and the orbit of omega_p under W_J as
+        the tree of `weyl._descent_tree`, bounded by the height sum of the
+        roots on J: one (parent, i, rows) per coset representative u =
+        s_i u_parent, rows holding u(alpha_j) for j in J' in simple-root
+        coordinates, parents before their children."""
         if nodes in plans:
             return plans[nodes]
         m = len(nodes)
-        p = min(range(m), key=lambda q: order(nodes) // order(nodes[:q] + nodes[q + 1:]))
-        cols = [tuple(cartan[a][b] for a in nodes) for b in nodes]
+        cosets = {q: order(nodes) // order(nodes[:q] + nodes[q + 1:]) for q in range(m)}
+        p = min(cosets, key=cosets.get)
+        sub_cartan = [[cartan[a][b] for b in nodes] for a in nodes]
+        mask = sum(1 << a for a in nodes)
+        bound = sum(h for support, h in system.root_supports if support | mask == mask)
         start = tuple(int(a == p) for a in range(m))
+        overflow = InvariantViolation(f"more than {cosets[p]} cosets of W_J'")
         rows = tuple(tuple(int(a == j) for a in range(m)) for j in range(m) if j != p)
-        tree = [(None, None, rows)]
-        points = [start]
-        for index, point in enumerate(points):
-            for i in range(m):
-                if point[i] > 0:
-                    nxt = tuple(x - point[i] * y for x, y in zip(point, cols[i]))
-                    if all(c >= 0 for c in nxt[:i]):  # nxt[i] < 0
-                        points.append(nxt)
-                        row = [cartan[nodes[i]][b] for b in nodes]
-                        parent_rows = tree[index][2]
-                        tree.append((index, i, tuple(
-                            r[:i] + (r[i] - sum(map(mul, row, r)),) + r[i + 1:]
-                            for r in parent_rows
-                        )))
+        tree = []
+        for parent, i, _, _ in _descent_tree(sub_cartan, start, bound, cosets[p], overflow):
+            if parent is not None:
+                rows = tuple(
+                    r[:i] + (r[i] - sum(map(mul, sub_cartan[i], r)),) + r[i + 1:]
+                    for r in tree[parent][2]
+                )
+            tree.append((parent, i, rows))
+        cols = [tuple(col) for col in zip(*sub_cartan)]
         plans[nodes] = (p, nodes[:p] + nodes[p + 1:], cols, tree)
         return plans[nodes]
 

@@ -65,9 +65,6 @@ class TypeLabel:
     def __str__(self):
         return f"{self.family}{self.rank}" + ("~" if self.affine else "")
 
-    def finite(self) -> "TypeLabel":
-        return TypeLabel(self.family, self.rank, False)
-
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)(~|\^\(1\))?$")
 

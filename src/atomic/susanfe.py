@@ -102,16 +102,14 @@ def susanfe_decomposition_check(
     """Verify N(tw) = N_A((tw)_A) | (N(t) \\ Phi_A) and the length identity.
 
     Hypotheses: t is a Susanfe reflection, sub is the subgroup A = t B t, and
-    w lies in W_B (the conjugate of W_A by t).
+    w lies in W_B (the conjugate of W_A by t), tested as t w t in W_A: its
+    A-decomposition leaves the identity.
     """
-    system = t.system
     if not susanfe_check(t).is_susanfe:
         raise PreconditionViolation("t is not Susanfe")
     if not (t * t).is_identity():
         raise PreconditionViolation("t is not an involution")
-    conj_gens = [t * s * t for s in sub.simple_reflections]
-    sub_b = ReflectionSubgroup(system, conj_gens)
-    if w not in sub_b.elements():
+    if not a_decomposition(t * w * t, sub)[1].is_identity():
         raise PreconditionViolation("w does not lie in W_B")
 
     tw = t * w

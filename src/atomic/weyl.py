@@ -20,20 +20,13 @@ for and kept.
 
 Each element and each root image is built by one rank-one step.  A
 reflection s_beta acts through its coroot row, x -> x - <x, beta^vee> beta,
-one dot product.  The group is enumerated as a descent tree: the parent of
-x != e is x s_i for the smallest right descent i of x, so each element is
-built once, from its parent, by one product on the right by a reflection
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, 3.4).  The same tree walks
-a reflection subgroup from its canonical simple system (Dyer, J. Algebra
-135, 1990), whose positive roots are the ambient positive roots it holds.
+one dot product.  One tree, `_descent_tree`, walks the group, a reflection
+subgroup from its canonical simple system (Dyer, J. Algebra 135, 1990) and
+the orbit of a dominant weight, finite or untwisted affine; each element is
+built once, from its parent, by one product on the right by a reflection.
 Inversion sets are read through the root poset: every positive root is a
 simple root or an earlier positive root plus one, so each image w(beta) is
 one column of w added to an image computed before it.
-
-The orbit of a dominant weight, finite or untwisted affine, is walked as a
-tree in which each weight is reached from its smallest negative coordinate
-(`orbit_depths`, `orbit_weights`); `affine` and `cores` walk their orbits
-through it.
 """
 
 from __future__ import annotations
@@ -399,16 +392,14 @@ def enumerate_group(system: RootSystem, generators=None):
 
     The generators must be the reflections of a simple system: positive
     roots a_i with <a_i, a_j^vee> <= 0 for i != j, such as the simple
-    reflections or `ReflectionSubgroup.simple_reflections`.  The walk is the
-    descent tree of the module docstring: w s_i is a child of w when w(a_i)
-    > 0 and (w s_i)(a_j) = w(a_j) - <a_j, a_i^vee> w(a_i) > 0 for every j <
-    i.  A root has the sign of its height, so each node carries the heights
-    of the w(a_j) and a child is built only once it is kept; it records its
-    parent and generator, from which `WeylElement.inverse` builds its
-    inverse when asked.  A non-reflection raises NotAReflection, another
-    system's reflection SystemMismatch and a positive pairing ValueError;
-    more than GROUP_ENUMERATION_CAP elements, read at each call, raise
-    SubgroupTooLarge.
+    reflections or `ReflectionSubgroup.simple_reflections`.  The walk is
+    `_descent_tree` on the heights of the w(a_j), bounded by the height sum
+    of the positive roots, which no sum over inversions exceeds.  Each node
+    is built from its parent by one product on the right and records both,
+    from which `WeylElement.inverse` builds its inverse when asked.  A
+    non-reflection raises NotAReflection, another system's reflection
+    SystemMismatch and a positive pairing ValueError; more than
+    GROUP_ENUMERATION_CAP elements, read at each call, raise SubgroupTooLarge.
     """
     if generators is None:
         generators = [simple_reflection(system, i) for i in range(1, system.rank + 1)]
@@ -418,21 +409,16 @@ def enumerate_group(system: RootSystem, generators=None):
     if any(c > 0 for i, row in enumerate(pairs) for j, c in enumerate(row) if i != j):
         raise ValueError("generator roots that pair positively are not a simple system")
     n, cap = system.rank, GROUP_ENUMERATION_CAP
-    out = set()
-    stack = [(identity_element(system), tuple(sum(root) for root, _ in refls))]
-    while stack:
-        w, heights = stack.pop()
-        if len(out) >= cap:
-            raise SubgroupTooLarge(f"more than {cap} elements")
-        out.add(w)
-        for i, (refl, row) in enumerate(zip(refls, pairs)):
-            h = heights[i]
-            if h > 0:
-                child = tuple(x - c * h for x, c in zip(heights, row))
-                if all(x > 0 for x in child[:i]):
-                    flat = _times_reflection(w._m, refl, n)
-                    stack.append((_element(system, flat, None, w, refl), child))
-    return out
+    heights = [sum(root) for root, _ in refls]
+    bound = sum(height for _, height in system.root_supports)
+    overflow = SubgroupTooLarge(f"more than {cap} elements")
+    walk = _descent_tree(tuple(zip(*pairs)), heights, bound, cap, overflow)
+    next(walk)  # the root, e
+    elements = [identity_element(system)]
+    for parent, i, _, _ in walk:
+        w, refl = elements[parent], refls[i]
+        elements.append(_element(system, _times_reflection(w._m, refl, n), None, w, refl))
+    return set(elements)
 
 
 def group_order(system: RootSystem) -> int:
@@ -467,69 +453,84 @@ def dominant_orbit_size(system: RootSystem, fund_coords) -> int:
     return exact_div(group_order(system), parabolic_order(system, zero), "|W|/|W_I|")
 
 
-def _orbit_tree(cartan, start, max_depth):
-    """Yield (depth, packed code, unpack) for every weight of the orbit of a
-    dominant weight up to max_depth, each once; `unpack` turns a packed code
-    back into fundamental coordinates.
+def _packing(start, max_depth):
+    """(offset, mask, shifts) of the fields, one per coordinate, of the
+    packed codes of `_descent_tree`."""
+    width = (max(start, default=0) + 4 * max_depth).bit_length() + 1
+    return (1 << width - 1) - 1, (1 << width) - 1, range(0, len(start) * width, width)
 
-    `cartan[j][i]` is <alpha_i, alpha_j^vee> (finite, or untwisted affine
-    with node 0 first) and `start` holds the fundamental coordinates.  The
-    depth <lambda - mu, rho^vee> grows by c_i on each step mu -> s_i(mu)
-    with c_i = <mu, alpha_i^vee> > 0.  Every weight but lambda has a
-    negative coordinate, and reflecting in its smallest one steps back
-    towards lambda, so keeping a child s_i(mu) only when i is its smallest
-    node with a negative coordinate makes the walk a tree rooted at lambda
-    (minimal coset representatives; Humphreys 1.10, Kac ch. 6): depth
-    first, no seen set, and pruning at max_depth loses nothing, since a
-    parent is shallower than its child.  Coordinates are packed as
-    c + offset in fields of one integer and s_i subtracts c_i times packed
-    column i.  Every |a_ij| <= 4, so |c| <= max(start) + 4 max_depth <=
-    offset: c > 0 exactly when the top bit of its field is set, and c >= 0
-    when it is set after adding one to the field.  More than ORBIT_WALK_CAP
-    weights raise OrbitTooLarge.
+
+def _descent_tree(cartan, start, max_depth, cap, overflow):
+    """Yield (parent position, generator, depth, packed code) for each node
+    of the smallest-node tree rooted at `start`, in preorder: parents before
+    children, the root with parent and generator None.
+
+    A node is an integer vector x.  For each i with x_i > 0, x - x_i
+    cartan[.][i] (coordinate j: x_j - x_i cartan[j][i]; coordinate i: -x_i)
+    is kept as a child only when i is its smallest negative coordinate.
+    Every node but the root has a negative coordinate, and stepping back
+    along its smallest one leads towards the root, so each node has one
+    parent: depth first, no seen set.  The depth grows by x_i on each step,
+    so pruning at max_depth loses nothing.  Two readings:
+      - cartan[j][i] = <alpha_i, alpha_j^vee> (finite, or untwisted affine
+        with node 0 first) on the fundamental coordinates of a dominant
+        weight: its orbit, one node per minimal coset representative
+        (Humphreys, Reflection Groups and Coxeter Groups, 1.10; Kac ch. 6),
+        at depth <lambda - mu, rho^vee>;
+      - the transposed matrix <a_j, a_i^vee> of a simple system on the
+        heights ht(w(a_j)): a root has the sign of its height, so the nodes
+        are the group, w s_i a child of w for its smallest right descent i
+        (Bjorner-Brenti, Combinatorics of Coxeter Groups, 3.4); for the
+        simple roots at depth L(w) = ht(rho - w rho), as L(w s_i) = L(w) +
+        ht(w(alpha_i)).
+    Coordinates are packed as c + offset in fields of one integer
+    (`_packing`); generator i subtracts c_i times packed column i.  Every
+    |cartan[j][i]| <= 4, so |c| <= max(start) + 4 max_depth <= offset: c > 0
+    exactly when the top bit of its field is set, c >= 0 when it is set
+    after adding one.  A node past the first `cap` raises `overflow`, the
+    caller's error.
     """
     if max_depth < 0:
         raise NegativeBound(f"depth bound {max_depth} must be nonnegative")
-    width = (max(start) + 4 * max_depth).bit_length() + 1
-    offset, mask = (1 << width - 1) - 1, (1 << width) - 1
-    shifts = range(0, len(start) * width, width)
+    offset, mask, shifts = _packing(start, max_depth)
     nodes = tuple(
         (
-            1 << s + width - 1,
+            i,
+            offset + 1 << s,
             s,
             sum(cartan[j][i] << t for j, t in enumerate(shifts)),
             sum(1 << t for t in shifts[:i]),
-            sum(1 << t + width - 1 for t in shifts[:i]),
+            sum(offset + 1 << t for t in shifts[:i]),
         )
         for i, s in enumerate(shifts)
     )
-
-    def unpack(code):
-        return tuple(((code >> s) & mask) - offset for s in shifts)
-
-    stack = [(sum((c + offset) << s for c, s in zip(start, shifts)), 0)]
-    states = 0
+    stack = [(None, None, 0, sum((c + offset) << s for c, s in zip(start, shifts)))]
+    position = 0
     while stack:
-        code, depth = stack.pop()
-        states += 1
-        if states > ORBIT_WALK_CAP:
-            raise OrbitTooLarge(f"orbit has more than {ORBIT_WALK_CAP} weights")
-        yield depth, code, unpack
+        if position >= cap:
+            raise overflow
+        node = stack.pop()
+        yield node
+        _, _, depth, code = node
         room = max_depth - depth
-        for top_bit, s, column, ones, tops in nodes:
+        for i, top_bit, s, column, ones, tops in nodes:
             if code & top_bit:
                 c = ((code >> s) & mask) - offset
                 if c <= room:
                     child = code - c * column
                     if (child + ones) & tops == tops:
-                        stack.append((child, depth + c))
+                        stack.append((position, i, depth + c, child))
+        position += 1
 
 
 def orbit_depths(cartan, start, max_depth):
     """{depth: count} over the orbit of a dominant weight, up to max_depth,
-    in increasing depth, by the tree walk of `_orbit_tree`."""
+    in increasing depth, by the walk of `_descent_tree`; more than
+    ORBIT_WALK_CAP weights, read at each call, raise OrbitTooLarge."""
+    cap = ORBIT_WALK_CAP
     counts: dict[int, int] = {}
-    for depth, _, _ in _orbit_tree(cartan, start, max_depth):
+    overflow = OrbitTooLarge(f"orbit has more than {cap} weights")
+    for _, _, depth, _ in _descent_tree(cartan, start, max_depth, cap, overflow):
         counts[depth] = counts.get(depth, 0) + 1
     return dict(sorted(counts.items()))
 
@@ -537,8 +538,11 @@ def orbit_depths(cartan, start, max_depth):
 def orbit_weights(cartan, start, max_depth):
     """Yield (depth, fundamental coordinates) for every weight of the orbit
     of a dominant weight up to max_depth, each once, by the same walk."""
-    for depth, code, unpack in _orbit_tree(cartan, start, max_depth):
-        yield depth, unpack(code)
+    cap = ORBIT_WALK_CAP
+    offset, mask, shifts = _packing(start, max_depth)
+    overflow = OrbitTooLarge(f"orbit has more than {cap} weights")
+    for _, _, depth, code in _descent_tree(cartan, start, max_depth, cap, overflow):
+        yield depth, tuple(((code >> s) & mask) - offset for s in shifts)
 
 
 def reduced_words(w: WeylElement):

@@ -29,6 +29,7 @@ from atomic.weyl import (
     identity_element,
     longest_element,
     reduced_words,
+    root_reflection,
     simple_reflection,
     standard_parabolic,
 )
@@ -55,6 +56,17 @@ def test_atomic_length_small_values():
     assert atomic_length(longest_element(a2)) == 4
     a3 = root_system("A3")
     assert atomic_length(longest_element(a3)) == 10
+
+
+@pytest.mark.parametrize("label", ["G2", "B4", "C4", "D4", "F4", "A5"])
+def test_atomic_length_is_the_inversion_height_sum(label):
+    # atomic_length reads ht(rho - w rho); the reference sums the heights of
+    # N(w), on every element and on every reflection (which acts through its
+    # coroot row)
+    system = root_system(label)
+    reflections = [root_reflection(system, beta) for beta in system.positive_roots]
+    for w in [*enumerate_group(system), *reflections]:
+        assert atomic_length(w) == sum(system.height(a) for a in w.inversion_set())
 
 
 def test_lambda_length_at_rho_and_zero():

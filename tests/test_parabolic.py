@@ -197,6 +197,15 @@ def test_stabiliser_remainder_raises(monkeypatch):
         image_set(a2, omega)
 
 
+def test_coset_tree_larger_than_its_index_raises(monkeypatch):
+    # each coset plan walks at most |W_J| / |W_J'| representatives; with
+    # every order read as 1 that is 1, and the A2 tree of omega_p has 3
+    a2 = root_system("A2")
+    monkeypatch.setattr(atomiclen, "parabolic_order", lambda system, nodes: 1)
+    with pytest.raises(InvariantViolation, match="more than 1 cosets"):
+        _parabolic_histogram(a2, a2.rho)
+
+
 def test_stabiliser_check_survives_optimized_mode():
     script = textwrap.dedent(
         """

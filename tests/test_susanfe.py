@@ -1,5 +1,6 @@
 import pytest
 
+from atomic import weyl
 from atomic.errors import PreconditionViolation, UnsupportedType
 from atomic.fixtures import STEP_CONSTANTS, W0_CLOSED_FORMS
 from atomic.rootdata import classical_root, root_system
@@ -14,6 +15,7 @@ from atomic.susanfe import (
 )
 from atomic.weyl import (
     ReflectionSubgroup,
+    enumerate_group,
     evaluate,
     identity_element,
     inversion_set_from_word,
@@ -151,6 +153,30 @@ def test_decomposition_check_preconditions():
     outside = evaluate(a3, (3,))  # W_B = t W_I t permutes only {1, 2, 3}
     with pytest.raises(PreconditionViolation):
         susanfe_decomposition_check(t, outside, sub)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "B4"])
+def test_decomposition_check_accepts_exactly_w_b(label, monkeypatch):
+    # w in W_B is tested as t w t in W_A, without enumerating W_B: the
+    # accepted elements of W are those of the enumerated conjugate subgroup
+    system = root_system(label)
+    t = special_reflection(system).element
+    sub = standard_parabolic(system, range(2, system.rank + 1))
+    w_b = ReflectionSubgroup(system, [t * s * t for s in sub.simple_reflections]).elements()
+    group = enumerate_group(system)
+
+    def refuse(*args):
+        raise AssertionError("enumerate_group called")
+
+    monkeypatch.setattr(weyl, "enumerate_group", refuse)
+    accepted = set()
+    for w in group:
+        try:
+            assert susanfe_decomposition_check(t, w, sub)
+        except PreconditionViolation:
+            continue
+        accepted.add(w)
+    assert accepted == w_b
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from atomic.weyl import (
     standard_parabolic,
     utopic_check,
 )
+from atomic.atomiclen import image_set
 from atomic.susanfe import special_reflection
 from test_parabolic import ALL_TYPES_TO_RANK_8
 
@@ -585,6 +586,42 @@ def test_enumerate_group_builds_each_element_once(monkeypatch):
         assert len(enumerate_group(system)) == order
         monkeypatch.setattr(weyl, "_element", real)
         assert len(built) == order
+
+
+@pytest.mark.parametrize("spec", ["B4", "C4", "D5", "F4", "G2"])
+def test_descent_tree_depth_is_the_atomic_length(spec):
+    # enumerate_group walks the heights ht(w(a_j)) on the transposed pairs
+    # <a_j, a_i^vee>; each node's depth must then be L(w), by L(w s_i) =
+    # L(w) + ht(w(alpha_i)), checked per node against the inversion set of
+    # the element built along the same tree.  The untransposed matrix gives
+    # the same tree with depth L(w^-1), so the same histogram (w -> w^-1 is
+    # a bijection) but wrong depths outside the simply-laced types.
+    system = root_system(spec)
+    simple = [system.simple_root(i) for i in range(1, system.rank + 1)]
+    g = system.scaled_inner_product
+    pairs = [[2 * g(a_j, a_i) // g(a_i, a_i) for a_j in simple] for a_i in simple]
+    bound = sum(system.height(r) for r in system.positive_roots)
+    order = group_order(system)
+
+    def walk(matrix):
+        overflow = AssertionError(f"more than {order} nodes")
+        return list(weyl._descent_tree(matrix, [1] * system.rank, bound, order, overflow))
+
+    tree, untransposed = walk(list(zip(*pairs))), walk(pairs)
+    assert [node[:2] for node in tree] == [node[:2] for node in untransposed]
+    elements, hist, wrong = [], {}, 0
+    for (parent, i, depth, _), (_, _, other, _) in zip(tree, untransposed):
+        w = identity_element(system)
+        if parent is not None:
+            w = elements[parent] * simple_reflection(system, i + 1)
+        elements.append(w)
+        value = sum(system.height(r) for r in w.inversion_set())
+        assert depth == value
+        wrong += other != value
+        hist[depth] = hist.get(depth, 0) + 1
+    assert len(set(elements)) == len(tree) == order
+    assert hist == image_set(system, system.rho, histogram=True).histogram
+    assert (wrong > 0) == (spec != "D5")
 
 
 def test_enumerate_group_refuses_a_non_simple_system():
