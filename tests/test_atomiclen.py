@@ -75,7 +75,9 @@ def test_lambda_length_at_rho_and_zero():
         rho = system.rho
         zero = system.weight(*[0] * system.rank)
         for w in enumerate_group(system):
-            assert lambda_atomic_length(w, rho) == atomic_length(w)
+            # atomic_length also reads ht(rho - w rho): compare with N(w)
+            heights = sum(system.height(a) for a in w.inversion_set())
+            assert lambda_atomic_length(w, rho) == heights
             assert lambda_atomic_length(w, zero) == 0
 
 
