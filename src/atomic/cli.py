@@ -25,8 +25,6 @@ from .errors import (
 )
 from .rootdata import root_system
 
-# The listing names every missing size in 0..--max, whatever the walk visits.
-CORES_MAX_CAP = 100_000
 # entropy writes n! rows: 3,628,800 at the cap, 39.9M at n = 11.
 ENTROPY_N_CAP = 10
 
@@ -162,11 +160,13 @@ def cmd_affine(args):
 
 
 def cmd_cores(args):
-    if args.max > CORES_MAX_CAP:
-        raise SizeTooLarge(f"--max {args.max} is above the cap {CORES_MAX_CAP}")
     if args.count_only:
         sizes = cores.core_sizes(args.n, args.max)
     else:
+        # the listing names every missing size in 0..--max, whatever the walk
+        # visits, so it takes the size cap of the count
+        if args.max > cores.CORE_SIZE_CAP:
+            raise SizeTooLarge(f"--max {args.max} is above the cap {cores.CORE_SIZE_CAP}")
         listing = cores.orbit_cores(args.n, args.max)
         sizes = {k: len(group) for k, group in listing.items()}
     payload = {"n": args.n, "sizes": {str(k): v for k, v in sizes.items()}}

@@ -12,12 +12,13 @@ does this on the partition itself.
 
 The (n+1)-cores are the orbit of Lambda_0 in type A_n~, and a core's size
 is its weight's depth and the level-one value of a translation in the root
-lattice (Garvan-Kim-Stanton).  So `core_sizes` and `lattice_value_histogram`
-are one count of lattice points by level-one value, over the Fincke-Pohst
-ball centred at rho/h of `affine.level_one_histogram`, while `orbit_cores`
-lists the cores by the tree walk of `weyl.orbit_weights` on the affine
-Cartan matrix, and `core_count_vs_lattice` sets that walk's count against
-the lattice.
+lattice (Garvan-Kim-Stanton).  Their count by size has three routes:
+`core_sizes` reads it off the t-core product E(q^t)^t / E(q), t = n + 1, by
+Euler's pentagonal series E(q) = prod_k (1 - q^k), with no lattice at all;
+`lattice_value_histogram` counts lattice points by level-one value, over the
+Fincke-Pohst ball centred at rho/h of `affine.level_one_histogram`; and
+`orbit_cores` lists the cores by the tree walk of `weyl.orbit_weights` on the
+affine Cartan matrix, which `core_count_vs_lattice` sets against the lattice.
 
 A weight with affine coordinates (m_0, ..., m_n) is the core with runner
 charges c_0..c_n on the (n+1)-abacus (James-Kerber; runner j holds beads at
@@ -30,14 +31,26 @@ residue i when m_i > 0.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import add, sub
 
 from .affine import affine_cartan, level_one_histogram
-from .errors import InvalidModulus, NegativeBound, NotACore
+from .errors import (
+    InvalidModulus,
+    InvariantViolation,
+    NegativeBound,
+    NotACore,
+    SizeTooLarge,
+)
 from .linalg import exact_div
 from .rootdata import root_system
 from .weyl import orbit_depths, orbit_weights
 
 Partition = tuple[int, ...]
+
+# Largest size bound `core_sizes` accepts, read at call time.  Its series
+# takes O(N^1.5) integer steps, about 3 s at the cap on a 2-CPU Xeon VM,
+# whatever n is; the `cores` command refuses a larger --max as well.
+CORE_SIZE_CAP = 100_000
 
 
 def check_partition(parts) -> Partition:
@@ -130,12 +143,16 @@ def _partition(charges) -> Partition:
     return tuple(reversed(parts))
 
 
-def _affine_a(n: int, max_size: int):
-    """The root system of A_n~, once n and the size bound are checked."""
+def _check_bound(n: int, max_size: int):
     if n < 1:
         raise InvalidModulus(f"modulus n + 1 = {n + 1} must be at least 2")
     if max_size < 0:
         raise NegativeBound(f"size bound {max_size} must be nonnegative")
+
+
+def _affine_a(n: int, max_size: int):
+    """The root system of A_n~, once n and the size bound are checked."""
+    _check_bound(n, max_size)
     return root_system(f"A{n}~")
 
 
@@ -152,19 +169,78 @@ def orbit_cores(n: int, max_size: int):
     return {size: sorted(lst) for size, lst in sorted(by_size.items())}
 
 
+def _pentagonal(bound: int):
+    """The exponents g <= bound of Euler's pentagonal theorem,
+    E(q) = prod_{k>=1} (1 - q^k) = sum_j (-1)^j q^{j(3j-1)/2} over all
+    integers j, as (those with j odd, those with j even and nonzero), each
+    list increasing: (1, 2, 12, 15, ...) and (5, 7, 22, 26, ...)."""
+    odd, even = [], []
+    j = 1
+    while j * (3 * j - 1) // 2 <= bound:
+        terms = odd if j % 2 else even
+        terms += [g for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= bound]
+        j += 1
+    return odd, even
+
+
 def core_sizes(n: int, max_size: int):
     """Map size -> number of (n+1)-cores of that size, for sizes <= max_size,
-    in increasing size.  A core of size N is a root-lattice translation of
-    level-one value N, so this is the lattice count value -> points of
-    `affine.level_one_histogram` on A_n~, the ball centred at rho/h, capped
-    by `affine.PROBE_CAP` points tried (RadiusTooLarge).  n < 1 raises
-    InvalidModulus and max_size < 0 NegativeBound."""
-    return level_one_histogram(_affine_a(n, max_size), max_size)[0]
+    in increasing size and leaving out the sizes no core has.
+
+    The counts are the coefficients of the t-core product
+    E(q^t)^t / E(q) = prod_k (1 - q^{tk})^t / (1 - q^k), t = n + 1
+    (Garvan-Kim-Stanton; Granville-Ono).  E^t is built up to q^{N/t} by t
+    passes over the pentagonal terms, spread onto the multiples of t, and
+    divided once by E(q) through f_m = g_m - sum_{j != 0} (-1)^j f_{m - g_j}: O(N^1.5)
+    integer steps, with no lattice and no root system.  The lattice count of
+    `lattice_value_histogram` and the orbit walk of `orbit_cores` are the
+    other two routes.  n < 1 raises InvalidModulus, max_size < 0
+    NegativeBound and max_size above `CORE_SIZE_CAP` SizeTooLarge; f_0 != 1
+    or a negative count raises InvariantViolation.
+    """
+    _check_bound(n, max_size)
+    if max_size > CORE_SIZE_CAP:
+        raise SizeTooLarge(f"size bound {max_size} is above the cap {CORE_SIZE_CAP}")
+    t = n + 1
+    top = max_size // t
+    odd, even = _pentagonal(max_size)
+    power = [1] + [0] * top
+    for _ in range(t):
+        prev = power[:]
+        for terms, op in ((odd, sub), (even, add)):
+            for g in terms:
+                if g > top:
+                    break
+                power[g:] = map(op, power[g:], prev[: top + 1 - g])
+    f = [0] * (max_size + 1)
+    f[::t] = power
+    for m in range(1, max_size + 1):
+        value = f[m]
+        for g in odd:
+            if g > m:
+                break
+            value += f[m - g]
+        for g in even:
+            if g > m:
+                break
+            value -= f[m - g]
+        f[m] = value
+    if f[0] != 1:
+        raise InvariantViolation(f"t-core series for t = {t} has constant term {f[0]}")
+    if min(f) < 0:
+        raise InvariantViolation(f"t-core series for t = {t} has a count {min(f)} < 0")
+    return {size: count for size, count in enumerate(f) if count}
 
 
-# the same count under its lattice name: value -> number of A_n root-lattice
-# points of that level-one value, for values <= the bound
-lattice_value_histogram = core_sizes
+def lattice_value_histogram(n: int, max_value: int):
+    """Map value -> number of A_n root-lattice points beta of level-one value
+    ((n+1)/2)|beta|^2 - ht(beta), for values <= max_value, in increasing
+    value: the Fincke-Pohst ball centred at rho/h of
+    `affine.level_one_histogram` on A_n~, capped by `affine.PROBE_CAP`
+    points tried (RadiusTooLarge).  A core of size N is such a point of
+    value N, so this is the lattice route to `core_sizes`.  n < 1 raises
+    InvalidModulus and max_value < 0 NegativeBound."""
+    return level_one_histogram(_affine_a(n, max_value), max_value)[0]
 
 
 def count_lattice_points(n: int, target: int):

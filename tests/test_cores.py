@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from atomic import affine, weyl
+from atomic import affine, cores, weyl
 from atomic.affine import basic_weight, level_one_histogram, orbit_depth_histogram
 from atomic.errors import (
     InvalidModulus,
@@ -10,6 +10,7 @@ from atomic.errors import (
     NotACore,
     OrbitTooLarge,
     RadiusTooLarge,
+    SizeTooLarge,
 )
 from atomic.fixtures import THREE_CORE_SIZES
 from atomic.cores import (
@@ -205,16 +206,19 @@ def test_orbit_cap(monkeypatch):
     monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 6)
     with pytest.raises(OrbitTooLarge):
         orbit_cores(2, 5)
-    # core_sizes counts the lattice points tried, at every level
+    # lattice_value_histogram counts the lattice points tried, at every level
     tried = sum(level_one_histogram(root_system("A2~"), 5)[1])
     monkeypatch.setattr(affine, "PROBE_CAP", tried)
-    assert sum(core_sizes(2, 5).values()) == 7
+    assert sum(lattice_value_histogram(2, 5).values()) == 7
     monkeypatch.setattr(affine, "PROBE_CAP", tried - 1)
     with pytest.raises(RadiusTooLarge, match=f"more than {tried - 1} lattice points tried"):
-        core_sizes(2, 5)
+        lattice_value_histogram(2, 5)
     monkeypatch.undo()
     start = time.perf_counter()
     with pytest.raises(RadiusTooLarge):
+        lattice_value_histogram(3, 10**18)
+    # the series refuses a size above CORE_SIZE_CAP before it allocates
+    with pytest.raises(SizeTooLarge, match=f"size bound {10**18} is above the cap"):
         core_sizes(3, 10**18)
     assert time.perf_counter() - start < 1
     with pytest.raises(InvalidModulus):
@@ -319,6 +323,10 @@ def test_abacus_walk_matches_residue_reflect():
         assert len(flat) == len(set(flat)) == len(seen), m
 
 
+def _nonzero(series):
+    return {k: v for k, v in enumerate(series) if v}
+
+
 def _t_core_series(t, bound):
     """Coefficients of prod_k (1 - q^{tk})^t / (1 - q^k) up to q^bound."""
     coeffs = [1] + [0] * bound
@@ -334,9 +342,38 @@ def _t_core_series(t, bound):
 
 @pytest.mark.parametrize("t", range(2, 10))
 def test_core_sizes_match_generating_function(t):
+    # the product, expanded factor by factor, checks the lattice ball; the
+    # pentagonal series of core_sizes is checked against the ball, not
+    # against a second copy of the product
     bound = 120 if t <= 7 else 80
     series = _t_core_series(t, bound)
+    ball = lattice_value_histogram(t - 1, bound)
+    assert ball == _nonzero(series)
     sizes = core_sizes(t - 1, bound)
-    assert sizes == {k: v for k, v in enumerate(series) if v}
+    assert sizes == ball and list(sizes) == sorted(sizes)
     # Granville-Ono: every size has a t-core once t >= 4; not so for t = 2, 3
     assert (len(sizes) == bound + 1) == (t >= 4)
+
+
+@pytest.mark.parametrize(
+    "n, bound", [(1, 60), (2, 60), (3, 60), (4, 50), (5, 40), (6, 35), (7, 30), (8, 30)]
+)
+def test_three_routes_count_the_same_cores(n, bound):
+    # the pentagonal series, the centred lattice ball and the orbit walk
+    system = root_system(f"A{n}~")
+    walk = orbit_depth_histogram(system, basic_weight(system), bound)
+    assert core_sizes(n, bound) == lattice_value_histogram(n, bound) == walk
+
+
+def test_core_size_cap(monkeypatch):
+    # read at call time; the cap itself is accepted, one above it refused
+    monkeypatch.setattr(cores, "CORE_SIZE_CAP", 50)
+    assert core_sizes(2, 50) == lattice_value_histogram(2, 50)
+    with pytest.raises(SizeTooLarge, match="size bound 51 is above the cap 50"):
+        core_sizes(2, 51)
+    # the ball keeps its own cap, PROBE_CAP
+    assert lattice_value_histogram(2, 51) == _nonzero(_t_core_series(3, 51))
+    monkeypatch.undo()
+    assert cores.CORE_SIZE_CAP == 100_000
+    with pytest.raises(SizeTooLarge, match="size bound 100001 is above the cap 100000"):
+        core_sizes(1, 100_001)
