@@ -160,13 +160,13 @@ def cmd_affine(args):
 
 
 def cmd_cores(args):
+    # the listing names every missing size in 0..--max, whatever the walk
+    # visits, so both routes take the size cap of the count
+    if args.max > cores.CORE_SIZE_CAP:
+        raise SizeTooLarge(f"--max {args.max} is above the cap {cores.CORE_SIZE_CAP}")
     if args.count_only:
         sizes = cores.core_sizes(args.n, args.max)
     else:
-        # the listing names every missing size in 0..--max, whatever the walk
-        # visits, so it takes the size cap of the count
-        if args.max > cores.CORE_SIZE_CAP:
-            raise SizeTooLarge(f"--max {args.max} is above the cap {cores.CORE_SIZE_CAP}")
         listing = cores.orbit_cores(args.n, args.max)
         sizes = {k: len(group) for k, group in listing.items()}
     payload = {"n": args.n, "sizes": {str(k): v for k, v in sizes.items()}}

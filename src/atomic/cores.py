@@ -191,10 +191,10 @@ def core_sizes(n: int, max_size: int):
     E(q^t)^t / E(q) = prod_k (1 - q^{tk})^t / (1 - q^k), t = n + 1
     (Garvan-Kim-Stanton; Granville-Ono).  E^t is built up to q^{N/t} by t
     passes over the pentagonal terms, spread onto the multiples of t, and
-    divided once by E(q) through f_m = g_m - sum_{j != 0} (-1)^j f_{m - g_j}: O(N^1.5)
-    integer steps, with no lattice and no root system.  The lattice count of
-    `lattice_value_histogram` and the orbit walk of `orbit_cores` are the
-    other two routes.  n < 1 raises InvalidModulus, max_size < 0
+    divided once by E(q) through f_m = g_m - sum_{j != 0} (-1)^j f_{m - g_j}:
+    O(N^1.5) integer steps, with no lattice and no root system.  The lattice
+    count of `lattice_value_histogram` and the orbit walk of `orbit_cores`
+    are the other two routes.  n < 1 raises InvalidModulus, max_size < 0
     NegativeBound and max_size above `CORE_SIZE_CAP` SizeTooLarge; f_0 != 1
     or a negative count raises InvariantViolation.
     """

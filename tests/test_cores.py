@@ -278,8 +278,8 @@ def test_core_sizes_match_affine_orbit_depths():
 
 
 def test_core_sizes_match_lattice_counts():
-    # cores counted by the orbit walk, not by core_sizes, which is the
-    # lattice count itself
+    # cores counted by the orbit walk, against the lattice ball bucket by
+    # bucket
     for n in (2, 3):
         system = root_system(f"A{n}~")
         sizes = orbit_depth_histogram(system, basic_weight(system), 20)
