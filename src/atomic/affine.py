@@ -351,6 +351,13 @@ def shi_vector(w: AffineElement) -> ShiVector:
 # -- atomic length ----------------------------------------------------------
 
 
+def _delta_pairing(system: RootSystem) -> int:
+    """<delta, rho^vee> = h^vee, read once per call.  The open convention
+    question: with <alpha_i, rho^vee> = 1 (i = 0..n) delta = sum a_i alpha_i
+    has height h, not h^vee, in B~, C~, F~ and G~ (L_Lambda0(s_0) < 1)."""
+    return system.dual_coxeter_number
+
+
 def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
     """<lambda - w(lambda), rho^vee>, computed two ways that must agree.
 
@@ -364,7 +371,7 @@ def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
     lam.require_dominant_integral()
     system = w.system
     g = system.scaled_inner_product
-    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
+    hvee, two_d = _delta_pairing(system), 2 * system.gram_scale
     lnum, shift = lam.num, lam.den * lam.level
 
     finite, drop = _act_scaled(w, lam)
@@ -397,7 +404,7 @@ def level_one_atomic_length(system: RootSystem, beta) -> int:
     """(h^vee / 2) |beta|^2 - ht(beta); independent of the finite part."""
     _require_affine(system)
     norm = system.scaled_inner_product(beta, beta)
-    return _level_one(system.dual_coxeter_number, 2 * system.gram_scale, beta, norm)
+    return _level_one(_delta_pairing(system), 2 * system.gram_scale, beta, norm)
 
 
 @cache
@@ -570,7 +577,7 @@ def level_one_histogram(system: RootSystem, max_value: int):
     if max_value < 0:
         return {}, tuple(tried)
     _, dens, _, weights, k_scale = _lattice_ldl(system)
-    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
+    hvee, two_d = _delta_pairing(system), 2 * system.gram_scale
     num = system.scaled_root_coords((1,) * n)
     den = system.weight_scale * hvee
     base = hvee * system.scaled_inner_product(num, num)
@@ -605,7 +612,7 @@ def _certified_max(system: RootSystem, lam: AffineWeight, radius: int) -> int:
     h^vee c1)^2 the test (A s - N)^2 < B s / (D S^2), A = level h^vee / 2,
     is (level h^vee s - 2N)^2 D S^2 < 4 B s, in integers.
     """
-    hvee, level = system.dual_coxeter_number, lam.level
+    hvee, level = _delta_pairing(system), lam.level
     if level == 0:
         return 0
     g = system.scaled_inner_product
@@ -661,7 +668,7 @@ def affine_image_probe(
     if radius < 0:
         raise NegativeBound(f"radius {radius} must be nonnegative")
     ball = lattice_ball(system, radius)
-    hvee, two_d = system.dual_coxeter_number, 2 * system.gram_scale
+    hvee, two_d = _delta_pairing(system), 2 * system.gram_scale
 
     lnum = lam.num
     points = 0

@@ -6,13 +6,16 @@ is computed without visiting the orbit: a memoised recursion over standard
 parabolic subgroups peels off one node at a time, W_J = W^{J'} . W_{J'},
 and adds shifted copies of the generating function of W_{J'}.  Its cost
 follows the number of memo states (2,264 for E7 rho, 26,526 for E8 rho),
-not the orbit size (2.9M and 697M).  The tests compare it with the walk
-over the orbit, `weyl.orbit_depths`, which visits every weight once.
+not the orbit size (2.9M and 697M).  Its coset trees read no weight and
+are built once per root system (`_coset_plan`); only its memo is per call.
+The tests compare it with the walk over the orbit, `weyl.orbit_depths`,
+which visits every weight once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from .errors import InvariantViolation, OrbitTooLarge
@@ -21,11 +24,11 @@ from .rootdata import RootSystem, Weight
 from .weyl import (
     WeylElement,
     _descent_tree,
+    _parabolic_order,
     _scaled_rho,
     dominant_orbit_size,
     group_order,
     inversion_set_from_word,
-    parabolic_order,
 )
 
 ORBIT_CAP = 2**27
@@ -131,6 +134,35 @@ def _unpack(packed: int, width: int) -> dict[int, int]:
     return out
 
 
+@cache
+def _coset_plan(system: RootSystem, nodes):
+    """For a node tuple J, in tuples kept per root system: the split node p
+    (a position in J) with the fewest cosets, J' = J - {p}, the Cartan
+    columns on J, and the orbit of omega_p under W_J as the tree of
+    `weyl._descent_tree`, bounded by the height sum of the roots on J: one
+    (parent, i, rows) per coset representative u = s_i u_parent, rows
+    holding u(alpha_j), j in J', in simple-root coordinates, parents first."""
+    m = len(nodes)
+    order = _parabolic_order(system, nodes)
+    cosets = {q: order // _parabolic_order(system, nodes[:q] + nodes[q + 1:]) for q in range(m)}
+    p = min(cosets, key=cosets.get)
+    sub_cartan = [[system.cartan[a][b] for b in nodes] for a in nodes]
+    mask = sum(1 << a for a in nodes)
+    bound = sum(h for support, h in system.root_supports if support | mask == mask)
+    start = tuple(int(a == p) for a in range(m))
+    overflow = InvariantViolation(f"more than {cosets[p]} cosets of W_J'")
+    rows = tuple(tuple(int(a == j) for a in range(m)) for j in range(m) if j != p)
+    tree = []
+    for parent, i, _, _ in _descent_tree(sub_cartan, start, bound, cosets[p], overflow):
+        if parent is not None:
+            rows = tuple(
+                r[:i] + (r[i] - sum(map(mul, sub_cartan[i], r)),) + r[i + 1:]
+                for r in tree[parent][2]
+            )
+        tree.append((parent, i, rows))
+    return p, nodes[:p] + nodes[p + 1:], tuple(zip(*sub_cartan)), tuple(tree)
+
+
 def _parabolic_histogram(system: RootSystem, lam: Weight):
     """Histogram of <lambda - w(lambda), rho^vee> over the orbit W.lambda.
 
@@ -143,64 +175,25 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
         G_J(lambda, c) = sum_u q^<lambda - u(lambda), c> G_J'(lambda, c'),
         c'_j = <u(alpha_j), c> for j in J'.
 
-    The representatives u are the points of the W_J-orbit of omega_k.  G_J
-    reads lambda and c only on J, so states (J, lambda|J, c|J) are memoised
-    for the length of one call; the c|J are heights of roots, which keeps
-    the memo finite.  Polynomials are (lowest exponent, packed coefficients)
-    with each coefficient in a field of `width` bits of one integer: no
-    coefficient of any partial sum exceeds |W|, so a shift by e exponents
+    The u, points of the W_J-orbit of omega_k, come from `_coset_plan`,
+    shared by all weights.  G_J reads lambda and c only on J, so states
+    (J, lambda|J, c|J) are memoised within one call; the c|J are root
+    heights, which keeps the memo finite.  Polynomials are (lowest exponent,
+    packed coefficients), each coefficient in a field of `width` bits of one
+    integer: no coefficient of a partial sum exceeds |W|, so a shift by e
     is `<< e * width` and a sum of shifted polynomials one integer addition.
     The orbit histogram is G_I(lambda, rho^vee) divided by |W_lambda|.
     """
-    cartan = system.cartan
-    n = system.rank
     width = group_order(system).bit_length()
-    orders: dict = {}
-    plans: dict = {}
     memo: dict = {}
-
-    def order(nodes):
-        if nodes not in orders:
-            orders[nodes] = parabolic_order(system, [j + 1 for j in nodes])
-        return orders[nodes]
-
-    def plan(nodes):
-        """The split node p (a position in nodes) with the fewest cosets,
-        the Cartan columns on nodes, and the orbit of omega_p under W_J as
-        the tree of `weyl._descent_tree`, bounded by the height sum of the
-        roots on J: one (parent, i, rows) per coset representative u =
-        s_i u_parent, rows holding u(alpha_j) for j in J' in simple-root
-        coordinates, parents before their children."""
-        if nodes in plans:
-            return plans[nodes]
-        m = len(nodes)
-        cosets = {q: order(nodes) // order(nodes[:q] + nodes[q + 1:]) for q in range(m)}
-        p = min(cosets, key=cosets.get)
-        sub_cartan = [[cartan[a][b] for b in nodes] for a in nodes]
-        mask = sum(1 << a for a in nodes)
-        bound = sum(h for support, h in system.root_supports if support | mask == mask)
-        start = tuple(int(a == p) for a in range(m))
-        overflow = InvariantViolation(f"more than {cosets[p]} cosets of W_J'")
-        rows = tuple(tuple(int(a == j) for a in range(m)) for j in range(m) if j != p)
-        tree = []
-        for parent, i, _, _ in _descent_tree(sub_cartan, start, bound, cosets[p], overflow):
-            if parent is not None:
-                rows = tuple(
-                    r[:i] + (r[i] - sum(map(mul, sub_cartan[i], r)),) + r[i + 1:]
-                    for r in tree[parent][2]
-                )
-            tree.append((parent, i, rows))
-        cols = [tuple(col) for col in zip(*sub_cartan)]
-        plans[nodes] = (p, nodes[:p] + nodes[p + 1:], cols, tree)
-        return plans[nodes]
 
     def generating(nodes, lam_j, c_j):
         if not any(lam_j):
-            return 0, order(nodes)
+            return 0, _parabolic_order(system, nodes)
         key = (nodes, lam_j, c_j)
         if key in memo:
             return memo[key]
-        p, sub_nodes, cols, tree = plan(nodes)
+        p, sub_nodes, cols, tree = _coset_plan(system, nodes)
         sub_lam = lam_j[:p] + lam_j[p + 1:]
         images = []  # (u(lambda) on nodes, <lambda - u(lambda), c>) per tree node
         lo = acc = None
@@ -227,11 +220,10 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
         memo[key] = (lo, acc)
         return lo, acc
 
-    lo, packed = generating(tuple(range(n)), lam.fund, (1,) * n)
+    lo, packed = generating(tuple(range(system.rank)), lam.fund, (1,) * system.rank)
     if lo != 0:
         raise InvariantViolation(f"lowest value {lo} of <lambda - w(lambda), rho^vee> is not 0")
-    zero = [i + 1 for i, c in enumerate(lam.fund) if c == 0]
-    stabiliser = parabolic_order(system, zero)
+    stabiliser = _parabolic_order(system, tuple(i for i, c in enumerate(lam.fund) if c == 0))
     return {
         depth: exact_div(
             count, stabiliser, f"{count} elements at value {depth}, not a multiple of |W_lambda|"

@@ -94,12 +94,12 @@ def residue_reflect(p, i: int, m: int) -> Partition:
     """Apply s_i to an m-core: add all addable i-boxes, else remove all.
 
     An m-core never carries addable and removable boxes of the same residue
-    at once, which is what makes the operation an involution.
+    at once, which is what makes the operation an involution.  A box is
+    addable where the row above is longer and removable where the row below
+    is shorter, so the rows stay weakly decreasing: no check of the result.
     """
-    if m < 2:
-        raise InvalidModulus(f"modulus {m} must be at least 2")
-    p = check_partition(p)
-    if not is_core(p, m):
+    p = tuple(p)
+    if not is_core(p, m):  # checks the modulus, then the partition
         raise NotACore(f"{p} is not a {m}-core")
     addable, removable = residues_of_boundary(p, m)
     rows = list(p)
@@ -112,8 +112,7 @@ def residue_reflect(p, i: int, m: int) -> Partition:
     elif removable[i % m]:
         for r, _ in removable[i % m]:
             rows[r] -= 1
-    out = tuple(x for x in rows if x > 0)
-    return check_partition(out)
+    return tuple(x for x in rows if x > 0)
 
 
 def _charges(coords):

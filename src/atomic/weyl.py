@@ -423,22 +423,28 @@ def enumerate_group(system: RootSystem, generators=None):
 
 def group_order(system: RootSystem) -> int:
     """|W|, by Macdonald's product over the positive roots."""
-    return parabolic_order(system, range(1, system.rank + 1))
+    return _parabolic_order(system, tuple(range(system.rank)))
 
 
 def parabolic_order(system: RootSystem, indices) -> int:
-    """|W_J| for a set J of 1-based simple indices.
+    """|W_J| for a set J of 1-based simple indices, by `_parabolic_order`."""
+    nodes = tuple(sorted({i - 1 for i in indices}))
+    for j in nodes[:1] + nodes[-1:]:  # the least and the greatest
+        if not 0 <= j < system.rank:
+            raise IndexOutOfRange(f"simple index {j + 1} outside 1..{system.rank}")
+    return _parabolic_order(system, nodes)
+
+
+@lru_cache(maxsize=None)
+def _parabolic_order(system: RootSystem, nodes) -> int:
+    """|W_J| for J an increasing tuple of 0-based nodes, kept per (system, J).
 
     Macdonald's identity sum_w q^l(w) = prod_{alpha > 0} (1 - q^(ht alpha + 1))
     / (1 - q^ht alpha) (Math. Ann. 199, 1972) gives |W_J| = prod (ht alpha
     + 1) / ht alpha at q = 1, over the positive roots supported on J, which
     are the positive roots of W_J.
     """
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= system.rank:
-            raise IndexOutOfRange(f"simple index {i} outside 1..{system.rank}")
-        mask |= 1 << i - 1
+    mask = sum(1 << j for j in nodes)
     num = den = 1
     for support, height in system.root_supports:
         if support | mask == mask:
@@ -680,21 +686,16 @@ def a_decomposition(w: WeylElement, sub: ReflectionSubgroup):
 
     Strips canonical simple roots of Delta_A out of N(w) from the left;
     only Delta_A needs testing thanks to the Bruhat-graph functoriality.
+    a lies in N(rest) when rest^{-1}(a) < 0, i.e. (a | rest rho) < 0: one
+    coroot row against v = rest(S rho), which is reflected along with rest.
     """
-    system = w.system
-    rest = w
-    w_a = identity_element(system)
-    stripped = True
-    while stripped:
-        stripped = False
-        for a in sub.delta:
-            if all(c <= 0 for c in rest.act_inverse_root(a)):
-                s = root_reflection(system, a)
-                rest = s * rest
-                w_a = w_a * s
-                stripped = True
-                break
-    return w_a, rest
+    rest, w_a = w, identity_element(w.system)
+    v = w.act_root(_scaled_rho(w.system))
+    while True:
+        s = next((s for s in sub.simple_reflections if sum(map(mul, s._refl[1], v)) < 0), None)
+        if s is None:
+            return w_a, rest
+        rest, w_a, v = s * rest, w_a * s, _reflect(s._refl, v)
 
 
 def utopic_check(w: WeylElement, sub: ReflectionSubgroup) -> bool:

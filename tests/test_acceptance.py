@@ -57,7 +57,7 @@ def test_criterion_03_surjectivity_exhaustive():
     e7 = root_system("E7")
     report = atomiclen.image_set(e7, e7.rho)
     elapsed = time.time() - start
-    assert report.missing == () and report.max_value == 399
+    assert report.missing == () and report.max_value == fixtures.W0_EXCEPTIONAL["E7"]
     assert report.orbit_size == 2903040
     assert elapsed < 600.0
     # E8 stays behind the cap unless explicitly lifted

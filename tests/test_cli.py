@@ -41,7 +41,7 @@ def test_image_json_round_trip(capsys):
 
 def test_w0_text(capsys):
     code, out, _ = run_cli(capsys, "w0", "--type", "E6")
-    assert code == 0 and out.strip() == "156"
+    assert code == 0 and out.strip() == str(fixtures.W0_EXCEPTIONAL["E6"])
 
 
 def test_cores_output(capsys):
@@ -100,7 +100,7 @@ def test_image_e8_under_raised_cap(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["max"] == 1240
+    assert payload["max"] == fixtures.W0_EXCEPTIONAL["E8"]
     assert payload["missing"] == []
     assert payload["orbit_size"] == 696729600
 

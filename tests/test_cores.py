@@ -153,6 +153,11 @@ def test_residue_reflect_involution_and_core_preservation():
 def test_residue_reflect_rejects_non_core():
     with pytest.raises(NotACore):
         residue_reflect((2, 1), 0, 3)
+    # the modulus is checked first, then the partition, then the core
+    with pytest.raises(InvalidModulus):
+        residue_reflect((1, 2), 0, 1)
+    with pytest.raises(ValueError, match="not a partition"):
+        residue_reflect((1, 2), 0, 3)
 
 
 def test_no_simultaneous_addable_removable_residue():

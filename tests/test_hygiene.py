@@ -1,4 +1,5 @@
-"""Source hygiene: no `assert` in the package, no unused imports, Fractions
+"""Source hygiene: no `assert` in the package, no unused imports, no
+function without a reader in the package beyond a pinned few, Fractions
 only where a denominator is real (only two modules import them, and there
 only views and input checks name them), and the fixture suite passes under
 `python -O`.
@@ -71,6 +72,76 @@ def test_unused_import_scan_sees_unread_names():
         "def f(x) -> 'Iterable':\n    return lcm(x, 2)\n"
     )
     assert unused_imports(tree) == [(2, "os"), (3, "system"), (4, "gcd")]
+
+
+# package functions and methods that no package code reads, each kept for
+# a reader outside it; a new one needs a reader or a reason here
+UNREAD_FUNCTIONS = {
+    "rootdata.RootSystem.inner_product": "Fraction view of the form, the tests' reference",
+    "rootdata.RootSystem.coroot_pairing": "Fraction view of <x, beta^vee>, a test reference",
+    "perms.statistics": "one validated permutation, the reference for statistics_table",
+    "affine.act_element_on_weight": "the tests' reference for the weight action",
+    "affine.alcove_point": "Fraction view of x0, the reference for the scaled alcove point",
+    "affine.orbit_depth_histogram": "benchmark entry point, the walk lattice counts meet",
+    "weyl.reduced_words": "test reference: every reduced word of an element",
+}
+
+
+def _defined_functions(tree):
+    """(qualified name, node) of the functions and methods at module and
+    class level; dunder methods are read by the language, not by name."""
+    for node in tree.body:
+        is_class = isinstance(node, ast.ClassDef)
+        for item in node.body if is_class else [node]:
+            name = getattr(item, "name", "")
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                name.startswith("__") and name.endswith("__")
+            ):
+                yield (f"{node.name}." if is_class else "") + name, item
+
+
+def unread_functions(trees):
+    """module.name of each function and method that no code in `trees`
+    ({module: tree}) reads outside its own body, as a name, an attribute or
+    an imported name, so that a re-export in __init__ counts as a reader."""
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                reads.setdefault(name, []).append(id(node))
+    unread = []
+    for module, tree in trees.items():
+        for qualified, node in _defined_functions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if all(r in inside for r in reads.get(node.name, ())):
+                unread.append(f"{module}.{qualified}")
+    return sorted(unread)
+
+
+def test_every_package_function_has_a_reader():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in PACKAGE_FILES}
+    assert unread_functions(trees) == sorted(UNREAD_FUNCTIONS)
+
+
+def test_reader_scan_sees_unread_functions():
+    trees = {
+        "m": ast.parse(
+            "def f():\n    return f()\ndef g():\n    return h\nh = 1\n"
+            "class C:\n    def __eq__(self, other):\n        return True\n"
+            "    def k(self):\n        return self.k\n    def j(self):\n        pass\n"
+        ),
+        "__init__": ast.parse("from .m import g\n"),
+    }
+    # f and C.k read only themselves, C.j nothing; g is re-exported
+    assert unread_functions(trees) == ["m.C.j", "m.C.k", "m.f"]
 
 
 def imported_modules(tree):

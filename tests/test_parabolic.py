@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atomic
-from atomic import atomiclen
-from atomic.atomiclen import _parabolic_histogram, image_set, minuscule_weights
+from atomic import atomiclen, fixtures
+from atomic.atomiclen import _coset_plan, _parabolic_histogram, image_set, minuscule_weights
 from atomic.errors import InvariantViolation
-from atomic.rootdata import root_system
+from atomic.rootdata import RootSystem, parse_type, root_system
 from atomic.weyl import dominant_orbit_size, orbit_depths
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -176,10 +176,11 @@ def test_e8_rho_fills_its_interval():
     e8 = root_system("E8")
     report = image_set(e8, e8.rho, cap=2**31, histogram=True)
     assert report.orbit_size == 696729600
-    assert report.max_value == 1240
+    top = fixtures.W0_EXCEPTIONAL["E8"]
+    assert report.max_value == top
     assert report.missing == ()
     hist = report.histogram
-    assert all(hist[1240 - d] == count for d, count in hist.items())
+    assert all(hist[top - d] == count for d, count in hist.items())
 
 
 # -- the stabiliser division survives python -O -----------------------------------
@@ -199,11 +200,22 @@ def test_stabiliser_remainder_raises(monkeypatch):
 
 def test_coset_tree_larger_than_its_index_raises(monkeypatch):
     # each coset plan walks at most |W_J| / |W_J'| representatives; with
-    # every order read as 1 that is 1, and the A2 tree of omega_p has 3
-    a2 = root_system("A2")
-    monkeypatch.setattr(atomiclen, "parabolic_order", lambda system, nodes: 1)
+    # every order read as 1 that is 1, and the A2 tree of omega_p has 3.
+    # A fresh A2 system has no cached plan that could skip the patched orders
+    a2 = RootSystem(parse_type("A2"))
+    monkeypatch.setattr(atomiclen, "_parabolic_order", lambda system, nodes: 1)
     with pytest.raises(InvariantViolation, match="more than 1 cosets"):
         _parabolic_histogram(a2, a2.rho)
+
+
+def test_coset_plans_are_shared_across_weights():
+    # the plans read no weight, and 2 rho visits the node sets rho does
+    e6 = root_system("E6")
+    first = image_set(e6, e6.rho, histogram=True)
+    misses = _coset_plan.cache_info().misses
+    second = image_set(e6, 2 * e6.rho, histogram=True)
+    assert _coset_plan.cache_info().misses == misses
+    assert second.histogram == {2 * d: c for d, c in first.histogram.items()}
 
 
 def test_stabiliser_check_survives_optimized_mode():

@@ -1,7 +1,6 @@
 import random
-from collections import deque
+from collections import deque, namedtuple
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -307,15 +306,22 @@ def test_subgroup_root_coordinates_nonnegative():
 
 
 def test_a_decomposition_basic():
-    a3 = root_system("A3")
-    sub = standard_parabolic(a3, [1, 2])
-    for w in enumerate_group(a3):
-        w_a, rest = a_decomposition(w, sub)
-        assert w_a * rest == w
-        assert w_a in sub.elements()
-        assert not any(sub.contains_root(r) for r in rest.inversion_set())
-        # parabolic case: lengths add
-        assert w.length() == w_a.length() + rest.length()
+    a3, b3 = root_system("A3"), root_system("B3")
+    # the long roots of B3 (D3 = A3, through alpha_1, alpha_2 and theta)
+    # are a reflection subgroup that no parabolic subgroup is conjugate to
+    long_roots = ReflectionSubgroup(
+        b3, [root_reflection(b3, beta) for beta in ((1, 0, 0), (0, 1, 0), (1, 2, 2))]
+    )
+    assert len(long_roots.phi_plus) == 6
+    for sub in (standard_parabolic(a3, [1, 2]), long_roots):
+        parabolic = sub.system is a3
+        for w in enumerate_group(sub.system):
+            w_a, rest = a_decomposition(w, sub)
+            assert w_a * rest == w
+            assert w_a in sub.elements()
+            assert not any(sub.contains_root(r) for r in rest.inversion_set())
+            if parabolic:  # lengths add
+                assert w.length() == w_a.length() + rest.length()
 
 
 def test_a_decomposition_inside_subgroup():
@@ -481,10 +487,14 @@ def test_parabolic_order_rejects_bad_index(index):
         parabolic_order(root_system("A2"), [1, index])
 
 
+FakeSystem = namedtuple("FakeSystem", "rank root_supports")
+
+
 def test_parabolic_order_rejects_a_fractional_product():
-    fake = SimpleNamespace(rank=1, root_supports=((0b1, 1), (0b1, 2)))  # 2 * 3/2 = 3
+    # hashable, as the products are kept per system
+    fake = FakeSystem(rank=1, root_supports=((0b1, 1), (0b1, 2)))  # 2 * 3/2 = 3
     assert parabolic_order(fake, [1]) == 3
-    fake = SimpleNamespace(rank=1, root_supports=((0b1, 2),))
+    fake = FakeSystem(rank=1, root_supports=((0b1, 2),))
     with pytest.raises(InvariantViolation, match="3/2"):
         parabolic_order(fake, [1])
 
