@@ -136,12 +136,12 @@ def _unpack(packed: int, width: int) -> dict[int, int]:
 
 @cache
 def _coset_plan(system: RootSystem, nodes):
-    """For a node tuple J, in tuples kept per root system: the split node p
-    (a position in J) with the fewest cosets, J' = J - {p}, the Cartan
-    columns on J, and the orbit of omega_p under W_J as the tree of
-    `weyl._descent_tree`, bounded by the height sum of the roots on J: one
-    (parent, i, rows) per coset representative u = s_i u_parent, rows
-    holding u(alpha_j), j in J', in simple-root coordinates, parents first."""
+    """The weight-free part of a step on the node tuple J, kept per root
+    system in tuples: the split node p (a position in J) with the fewest
+    cosets, J' = J - p, the Cartan columns on J, and the W_J-orbit of
+    omega_p as the tree of `weyl._descent_tree`, bounded by the height sum
+    of the roots on J: one (parent, i, rows) per coset representative u =
+    s_i u_parent, rows holding u(alpha_j), j in J', parents first."""
     m = len(nodes)
     order = _parabolic_order(system, nodes)
     cosets = {q: order // _parabolic_order(system, nodes[:q] + nodes[q + 1:]) for q in range(m)}
