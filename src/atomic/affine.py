@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from fractions import Fraction
 from operator import mul
 
@@ -55,7 +54,7 @@ from .errors import (
     UnsupportedType,
 )
 from .linalg import eliminate, exact_div
-from .rootdata import RootSystem, integral_coords
+from .rootdata import RootSystem, integral_coords, per_system
 from .weyl import (
     WeylElement,
     group_order,
@@ -322,7 +321,7 @@ class ShiVector:
         return rows
 
 
-@cache
+@per_system
 def _scaled_alcove_point(system: RootSystem):
     """(N, N x0) with N = h S, S = `weight_scale`; built on first use, once
     per system.  (A x0)_i = 1/(h d_i), so N x0 = S A^{-1} (1/d_i), integral
@@ -407,7 +406,7 @@ def level_one_atomic_length(system: RootSystem, beta) -> int:
     return _level_one(_delta_pairing(system), 2 * system.gram_scale, beta, norm)
 
 
-@cache
+@per_system
 def affine_cartan(system: RootSystem):
     """The untwisted affine Cartan matrix, node 0 first: alpha_0 = delta - theta
     gives a_0j = -sum_i comark_i a_ij and a_i0 = -sum_k a_ik theta_k."""
@@ -446,7 +445,7 @@ def translation_lattice_basis(system: RootSystem):
     return tuple(basis)
 
 
-@cache
+@per_system
 def _lattice_ldl(system: RootSystem):
     """The integer LDL^T of the translation-lattice Gram matrix, built once
     per system, on first use: (scales, dens, forms, weights, k_scale).

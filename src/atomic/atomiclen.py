@@ -5,9 +5,11 @@ histogram of <lambda - w(lambda), rho^vee> over the orbit W.lambda, which
 is computed without visiting the orbit: a memoised recursion over standard
 parabolic subgroups peels off one node at a time, W_J = W^{J'} . W_{J'},
 and adds shifted copies of the generating function of W_{J'}.  Its cost
-follows the number of memo states (2,264 for E7 rho, 26,526 for E8 rho),
-not the orbit size (2.9M and 697M).  Its coset trees read no weight and
-are built once per root system (`_coset_plan`); only its memo is per call.
+follows the coset-tree iterations, one dot product each (16,857 for E7
+rho, 265,776 for E8 rho), and the memo states they reach (2,264 and
+26,526), not the orbit size (2.9M and 697M).  Its coset trees read no
+weight and are built once per root system (`_coset_plan`); only its memo
+is per call.
 The tests compare it with the walk over the orbit, `weyl.orbit_depths`,
 which visits every weight once.
 """
@@ -15,12 +17,11 @@ which visits every weight once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from operator import mul
 
 from .errors import InvariantViolation, OrbitTooLarge
 from .linalg import exact_div
-from .rootdata import RootSystem, Weight
+from .rootdata import RootSystem, Weight, per_system
 from .weyl import (
     WeylElement,
     _descent_tree,
@@ -134,14 +135,25 @@ def _unpack(packed: int, width: int) -> dict[int, int]:
     return out
 
 
-@cache
+def _height_field(system: RootSystem) -> int:
+    """Bits per field of the packed heights of `_coset_plan`: enough for
+    the largest root height, that of the highest root, h - 1."""
+    return sum(system.highest_root).bit_length()
+
+
+@per_system
 def _coset_plan(system: RootSystem, nodes):
     """The weight-free part of a step on the node tuple J, kept per root
-    system in tuples: the split node p (a position in J) with the fewest
-    cosets, J' = J - p, the Cartan columns on J, and the W_J-orbit of
-    omega_p as the tree of `weyl._descent_tree`, bounded by the height sum
-    of the roots on J: one (parent, i, rows) per coset representative u =
-    s_i u_parent, rows holding u(alpha_j), j in J', parents first."""
+    system: the sub-node tuple J' = J - p for the split node p (a position
+    in J) with the fewest cosets, the Cartan columns on J, and the
+    W_J-orbit of omega_p as the tree of `weyl._descent_tree`, bounded by
+    the height sum of the roots on J.  The tree holds one (parent, i,
+    packed) per coset representative u = s_i u_parent, parents first:
+    packed[a] holds the a-th coordinates of the roots u(alpha_j), j in J',
+    one field of F = `_height_field` bits each, the j-th at bit F * j.
+    The fields must hold every root height (see `_parabolic_histogram`);
+    a narrower F raises InvariantViolation.  Returns (J', columns, tree,
+    F)."""
     m = len(nodes)
     order = _parabolic_order(system, nodes)
     cosets = {q: order // _parabolic_order(system, nodes[:q] + nodes[q + 1:]) for q in range(m)}
@@ -151,78 +163,106 @@ def _coset_plan(system: RootSystem, nodes):
     bound = sum(h for support, h in system.root_supports if support | mask == mask)
     start = tuple(int(a == p) for a in range(m))
     overflow = InvariantViolation(f"more than {cosets[p]} cosets of W_J'")
+    field, top_height = _height_field(system), sum(system.highest_root)
+    if top_height >> field:
+        raise InvariantViolation(f"root height {top_height} overflows a {field}-bit field")
     rows = tuple(tuple(int(a == j) for a in range(m)) for j in range(m) if j != p)
-    tree = []
+    rows_at, tree = [], []
     for parent, i, _, _ in _descent_tree(sub_cartan, start, bound, cosets[p], overflow):
         if parent is not None:
             rows = tuple(
                 r[:i] + (r[i] - sum(map(mul, sub_cartan[i], r)),) + r[i + 1:]
-                for r in tree[parent][2]
+                for r in rows_at[parent]
             )
-        tree.append((parent, i, rows))
-    return p, nodes[:p] + nodes[p + 1:], tuple(zip(*sub_cartan)), tuple(tree)
+        rows_at.append(rows)
+        packed = tuple(sum(r[a] << field * j for j, r in enumerate(rows)) for a in range(m))
+        tree.append((parent, i, packed))
+    return nodes[:p] + nodes[p + 1:], tuple(zip(*sub_cartan)), tuple(tree), field
 
 
 def _parabolic_histogram(system: RootSystem, lam: Weight):
     """Histogram of <lambda - w(lambda), rho^vee> over the orbit W.lambda.
 
-    Evaluates G_J(lambda, c) = sum over v in W_J of q^<lambda - v(lambda), c>
-    from G_I(lambda, rho^vee) down.  For a node k of J and J' = J - {k},
-    every v in W_J is u.v' with u a minimal coset representative of
-    W_J / W_J' and v' in W_J' (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.10), and lambda - v'(lambda) lies in the span of J', so
+    Evaluates G_J(c) = sum over v in W_J of q^<lambda - v(lambda), c> from
+    G_I(rho^vee) down.  For a node k of J and J' = J - {k}, every v in W_J
+    is u.v' with u a minimal coset representative of W_J / W_J' and v' in
+    W_J' (Humphreys, Reflection Groups and Coxeter Groups, 1.10), and
+    lambda - v'(lambda) lies in the span of J', so
 
-        G_J(lambda, c) = sum_u q^<lambda - u(lambda), c> G_J'(lambda, c'),
+        G_J(c) = sum_u q^<lambda - u(lambda), c> G_J'(c'),
         c'_j = <u(alpha_j), c> for j in J'.
 
     The u, points of the W_J-orbit of omega_k, come from `_coset_plan`,
-    shared by all weights.  G_J reads lambda and c only on J, so states
-    (J, lambda|J, c|J) are memoised within one call; the c|J are root
-    heights, which keeps the memo finite.  Polynomials are (lowest exponent,
-    packed coefficients), each coefficient in a field of `width` bits of one
-    integer: no coefficient of a partial sum exceeds |W|, so a shift by e
-    is `<< e * width` and a sum of shifted polynomials one integer addition.
-    The orbit histogram is G_I(lambda, rho^vee) divided by |W_lambda|.
+    shared by all weights; the node tuples form one chain I, J_1, J_2, ...,
+    down to the first J on which lambda vanishes, where G_J = |W_J|.
+    lambda - u(lambda) reads only lambda|J and the plan, so it is computed
+    once per node tuple and call (the steps <u_parent(lambda), alpha_i^vee>)
+    and put in a top field above the packed c' fields of each coset column:
+    one dot product of |J| integers per coset gives both the shift <lambda -
+    u(lambda), c> and c' packed.  Since lambda|J is fixed by J, the memo of
+    J' is keyed by that packed integer alone, and c' is unpacked only when
+    the state is new.
+
+    The packing is exact: c'_j = <v(alpha_j), rho^vee> for the product v of
+    the coset representatives down to J', a minimal coset representative
+    of W / W_J', which keeps v(alpha_j) positive, so 1 <= c'_j <= h - 1 <
+    2^F, and every product in the dot product is nonnegative, so no field
+    carries into the next.  `_coset_plan` checks h - 1 < 2^F where it lays
+    the fields out, also under python -O.
+
+    A polynomial is one integer, the coefficient of q^e in the field of
+    `width` bits at bit e * width: no coefficient of a partial sum exceeds
+    |W|, so a shift by e is `<< e * width` and a sum of shifted polynomials
+    one integer addition.  No exponent is negative: each step <u_parent(
+    lambda), alpha_i^vee> = <lambda, u_parent^-1(alpha_i)^vee> is at least
+    0, as u = s_i u_parent is the longer and lambda is dominant; a negative
+    step raises InvariantViolation, as does a lowest value other than 0.
+    The orbit histogram is G_I(rho^vee) divided by |W_lambda|.
     """
     width = group_order(system).bit_length()
-    memo: dict = {}
-
-    def generating(nodes, lam_j, c_j):
-        if not any(lam_j):
-            return 0, _parabolic_order(system, nodes)
-        key = (nodes, lam_j, c_j)
-        if key in memo:
-            return memo[key]
-        p, sub_nodes, cols, tree = _coset_plan(system, nodes)
-        sub_lam = lam_j[:p] + lam_j[p + 1:]
-        images = []  # (u(lambda) on nodes, <lambda - u(lambda), c>) per tree node
-        lo = acc = None
-        for parent, i, rows in tree:
+    levels = []  # per node tuple J of the chain: (coset columns, top, mask)
+    nodes = tuple(range(system.rank))
+    while any(lam.fund[a] for a in nodes):
+        sub_nodes, cols, tree, field = _coset_plan(system, nodes)
+        top = field * len(sub_nodes)
+        mus, drops, cosets = [], [], []  # u(lambda), lambda - u(lambda) on J
+        for parent, i, packed in tree:
             if parent is None:
-                mu, shift = lam_j, 0
+                mu, drop = tuple(lam.fund[a] for a in nodes), (0,) * len(nodes)
             else:
-                pmu, pshift = images[parent]
-                step = pmu[i]
-                mu = tuple(x - step * y for x, y in zip(pmu, cols[i]))
-                shift = pshift + step * c_j[i]
-            images.append((mu, shift))
-            sub_lo, sub = generating(
-                sub_nodes, sub_lam, tuple(sum(map(mul, r, c_j)) for r in rows)
-            )
-            e = shift + sub_lo
-            if acc is None:
-                lo, acc = e, sub
-            elif e >= lo:
-                acc += sub << (e - lo) * width
-            else:
-                acc = (acc << (lo - e) * width) + sub
-                lo = e
-        memo[key] = (lo, acc)
-        return lo, acc
+                mu, drop = mus[parent], drops[parent]
+                step = mu[i]
+                if step < 0:
+                    raise InvariantViolation(f"coset step <u(lambda), alpha_i^vee> = {step} < 0")
+                mu = tuple(x - step * y for x, y in zip(mu, cols[i]))
+                drop = drop[:i] + (drop[i] + step,) + drop[i + 1:]
+            mus.append(mu)
+            drops.append(drop)
+            cosets.append(tuple(x + (d << top) for x, d in zip(packed, drop)))
+        # where lambda vanishes on J', G_J' = |W_J'| whatever c' is: one key, 0
+        mask = (1 << top) - 1 if any(lam.fund[a] for a in sub_nodes) else 0
+        levels.append((cosets, top, mask))
+        nodes = sub_nodes
+    base = _parabolic_order(system, nodes)
+    memos = [{} for _ in levels[1:]] + [{0: base}]
 
-    lo, packed = generating(tuple(range(system.rank)), lam.fund, (1,) * system.rank)
-    if lo != 0:
-        raise InvariantViolation(f"lowest value {lo} of <lambda - w(lambda), rho^vee> is not 0")
+    def generating(k, c):
+        cosets, top, mask = levels[k]
+        memo = memos[k]
+        acc = 0
+        for column in cosets:
+            v = sum(map(mul, c, column))
+            key = v & mask
+            sub = memo.get(key)
+            if sub is None:
+                heights = tuple(key >> s & (1 << field) - 1 for s in range(0, top, field))
+                sub = memo[key] = generating(k + 1, heights)
+            acc += sub << (v >> top) * width
+        return acc
+
+    packed = generating(0, (1,) * system.rank) if levels else base
+    if not packed & (1 << width) - 1:
+        raise InvariantViolation("lowest value of <lambda - w(lambda), rho^vee> is not 0")
     stabiliser = _parabolic_order(system, tuple(i for i, c in enumerate(lam.fund) if c == 0))
     return {
         depth: exact_div(

@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import mul
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
@@ -109,6 +109,25 @@ def cartan_matrix(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+def per_system(build):
+    """Keep build(system, *args) in a table on the system itself, one per
+    function and argument tuple, built on first use.  The entries live as
+    long as the system and no longer; a module-level cache keyed by the
+    system would keep every system it saw alive."""
+
+    @wraps(build)
+    def cached(system, *args):
+        table = system._derived.get(build)
+        if table is None:
+            table = system._derived[build] = {}
+        value = table.get(args)
+        if value is None:
+            value = table[args] = build(system, *args)
+        return value
+
+    return cached
+
+
 class RootSystem:
     """Immutable Cartan data for one finite type (possibly affine-labelled).
 
@@ -118,6 +137,7 @@ class RootSystem:
 
     def __init__(self, label: TypeLabel):
         self.label = label
+        self._derived = {}  # the tables of `per_system`
         n = label.rank
         self.rank = n
         self.cartan = cartan_matrix(label.family, n)

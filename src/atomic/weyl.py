@@ -44,7 +44,7 @@ from .errors import (
     SystemMismatch,
 )
 from .linalg import exact_div
-from .rootdata import RootSystem, Weight
+from .rootdata import RootSystem, Weight, per_system
 
 GROUP_ENUMERATION_CAP = 10**7
 ORBIT_WALK_CAP = 2**23
@@ -286,7 +286,7 @@ class WeylElement:
         return f"<{self.system.label}:{word}>"
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _root_poset(system: RootSystem):
     """(parent, offset) for each positive root beta, in root order: beta is
     the root at `parent` (an earlier index, None for a simple root) plus the
@@ -302,7 +302,7 @@ def _root_poset(system: RootSystem):
     return tuple(steps)
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _scaled_rho(system: RootSystem):
     """S rho in simple-root coordinates (S = `weight_scale`)."""
     return system.scaled_root_coords((1,) * system.rank)
@@ -372,7 +372,7 @@ def inversion_set_from_word(system: RootSystem, word):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_system
 def longest_element(system: RootSystem) -> WeylElement:
     """Greedy ascent: multiply by s_i while w(alpha_i), column i of w, stays
     positive.  Built on first use and kept per system, as `_scaled_rho` is."""
@@ -435,7 +435,7 @@ def parabolic_order(system: RootSystem, indices) -> int:
     return _parabolic_order(system, nodes)
 
 
-@lru_cache(maxsize=None)
+@per_system
 def _parabolic_order(system: RootSystem, nodes) -> int:
     """|W_J| for J an increasing tuple of 0-based nodes, kept per (system, J).
 

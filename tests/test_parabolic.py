@@ -4,13 +4,17 @@
 with the orbit walk `weyl.orbit_depths` (every weight visited once), with the
 q-Weyl dimension formula on minuscule weights (computed below by integer
 polynomial division from the Cartan matrix alone), and with the paper's E8
-claim.  Its stabiliser-division check is shown to fire under `python -O`.
+claim.  Its stabiliser-division and height-field checks are shown to fire
+under `python -O`.
 """
 
+import gc
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 
 import atomic
 from atomic import atomiclen, fixtures
-from atomic.atomiclen import _coset_plan, _parabolic_histogram, image_set, minuscule_weights
+from atomic.atomiclen import _parabolic_histogram, image_set, minuscule_weights
 from atomic.errors import InvariantViolation
 from atomic.rootdata import RootSystem, parse_type, root_system
 from atomic.weyl import dominant_orbit_size, orbit_depths
@@ -28,7 +32,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 RHO_TYPES = (
     "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6", "C3", "C4", "C5",
-    "D4", "D5", "D6", "D7", "G2", "F4", "E6", "E7",
+    "D4", "D5", "D6", "D7", "G2", "F4", "E6", "E7", "A7",
 )
 SMALL_TYPES = (
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
@@ -62,6 +66,16 @@ def test_rho_agrees_with_orbit_walk(spec):
     hist = _parabolic_histogram(system, system.rho)
     assert hist == walk(system, system.rho)
     check_shape(system, system.rho, hist)
+
+
+@pytest.mark.parametrize("spec", ("B4", "C4", "D5"))
+def test_zero_one_weights_agree_with_orbit_walk(spec):
+    # h - 1 = 7 fills the 3-bit height fields; the zero coordinates reach the
+    # base case, where lambda vanishes on the node tuple, at every depth
+    system = root_system(spec)
+    for fund in itertools.product((0, 1), repeat=system.rank):
+        lam = system.weight(*fund)
+        assert _parabolic_histogram(system, lam) == walk(system, lam), fund
 
 
 @st.composite
@@ -198,6 +212,15 @@ def test_stabiliser_remainder_raises(monkeypatch):
         image_set(a2, omega)
 
 
+def test_negative_coset_step_raises():
+    # every exponent is a sum of steps <u(lambda), alpha_i^vee> times positive
+    # heights; a weight that is not dominant (image_set refuses it) makes one
+    # step negative
+    a2 = root_system("A2")
+    with pytest.raises(InvariantViolation, match="= -1 < 0"):
+        _parabolic_histogram(a2, a2.weight(1, -1))
+
+
 def test_coset_tree_larger_than_its_index_raises(monkeypatch):
     # each coset plan walks at most |W_J| / |W_J'| representatives; with
     # every order read as 1 that is 1, and the A2 tree of omega_p has 3.
@@ -208,14 +231,58 @@ def test_coset_tree_larger_than_its_index_raises(monkeypatch):
         _parabolic_histogram(a2, a2.rho)
 
 
-def test_coset_plans_are_shared_across_weights():
-    # the plans read no weight, and 2 rho visits the node sets rho does
+def test_coset_plans_are_shared_across_weights(monkeypatch):
+    # the plans read no weight, and 2 rho visits the node sets rho does; each
+    # plan built walks one coset tree, so the walks count the plans built
+    walks = []
+    descent_tree = atomiclen._descent_tree
+
+    def counted(*args):
+        walks.append(args)
+        return descent_tree(*args)
+
+    monkeypatch.setattr(atomiclen, "_descent_tree", counted)
     e6 = root_system("E6")
     first = image_set(e6, e6.rho, histogram=True)
-    misses = _coset_plan.cache_info().misses
+    built = len(walks)
     second = image_set(e6, 2 * e6.rho, histogram=True)
-    assert _coset_plan.cache_info().misses == misses
+    assert len(walks) == built
     assert second.histogram == {2 * d: c for d, c in first.histogram.items()}
+    fresh = RootSystem(parse_type("E6"))
+    image_set(fresh, fresh.rho)
+    assert len(walks) == built + 6  # one plan per node tuple of the chain
+
+
+def test_plans_die_with_their_system():
+    # the per-system tables live on the system, so a caller that builds
+    # systems afresh keeps nothing once it drops them
+    def fresh_image():
+        system = RootSystem(parse_type("D5"))
+        image_set(system, system.rho)
+
+    fresh_image()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            fresh_image()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 50_000, f"{retained} bytes retained by 100 fresh D5 systems"
+
+
+@pytest.mark.parametrize("spec", ("A7", "B4", "C4", "D5"))
+def test_narrow_height_field_raises(monkeypatch, spec):
+    # h - 1 = 7 fills a 3-bit field; one bit less cannot hold it.  A fresh
+    # system has no plan laid out in the full width
+    system = RootSystem(parse_type(spec))
+    assert atomiclen._height_field(system) == 3
+    monkeypatch.setattr(atomiclen, "_height_field", lambda system: 2)
+    with pytest.raises(InvariantViolation, match="root height 7 overflows a 2-bit field"):
+        _parabolic_histogram(system, system.rho)
 
 
 def test_stabiliser_check_survives_optimized_mode():
@@ -247,3 +314,44 @@ def test_stabiliser_check_survives_optimized_mode():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("raised: 3 elements at value 0"), result.stdout
+
+
+def test_height_field_and_step_checks_survive_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from atomic import atomiclen
+        from atomic.errors import InvariantViolation
+        from atomic.rootdata import RootSystem, parse_type
+
+        assert False, "asserts are stripped under -O, so this line is inert"
+        height_field = atomiclen._height_field
+        atomiclen._height_field = lambda system: height_field(system) - 1
+        for spec in ("A7", "B4", "C4", "D5"):
+            system = RootSystem(parse_type(spec))
+            try:
+                atomiclen._parabolic_histogram(system, system.rho)
+            except InvariantViolation as exc:
+                print(spec, "raised:", exc)
+            else:
+                print(spec, "not raised")
+        atomiclen._height_field = height_field
+        a2 = RootSystem(parse_type("A2"))
+        try:
+            atomiclen._parabolic_histogram(a2, a2.weight(1, -1))
+        except InvariantViolation as exc:
+            print("A2 (1, -1) raised:", exc)
+        else:
+            print("A2 (1, -1) not raised")
+        """
+    )
+    src = str(Path(atomic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"{spec} raised: root height 7 overflows a 2-bit field"
+        for spec in ("A7", "B4", "C4", "D5")
+    ] + ["A2 (1, -1) raised: coset step <u(lambda), alpha_i^vee> = -1 < 0"], result.stdout

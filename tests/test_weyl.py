@@ -1,6 +1,7 @@
 import random
-from collections import deque, namedtuple
+from collections import deque
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -487,14 +488,15 @@ def test_parabolic_order_rejects_bad_index(index):
         parabolic_order(root_system("A2"), [1, index])
 
 
-FakeSystem = namedtuple("FakeSystem", "rank root_supports")
+def fake_system(root_supports):
+    # with a table of its own, as the products are kept on the system
+    return SimpleNamespace(rank=1, root_supports=root_supports, _derived={})
 
 
 def test_parabolic_order_rejects_a_fractional_product():
-    # hashable, as the products are kept per system
-    fake = FakeSystem(rank=1, root_supports=((0b1, 1), (0b1, 2)))  # 2 * 3/2 = 3
+    fake = fake_system(((0b1, 1), (0b1, 2)))  # 2 * 3/2 = 3
     assert parabolic_order(fake, [1]) == 3
-    fake = FakeSystem(rank=1, root_supports=((0b1, 2),))
+    fake = fake_system(((0b1, 2),))
     with pytest.raises(InvariantViolation, match="3/2"):
         parabolic_order(fake, [1])
 
