@@ -24,6 +24,15 @@ forward image of the scaled alcove point N x0, N = h S.  The set-up is in
 integers too: N x0, the probe's certificate and the lattice LDL^T;
 `alcove_point` and `AffineWeight.finite` are the only Fraction views.
 
+`affine_atomic_length` computes each value by two paths that must agree,
+also under `python -O`: the direct path acts on the weight (`_act_scaled`),
+the closed path adds the translation terms to the finite part.  They share
+the weight scale den * level and (beta|beta); they differ where the finite
+part lbar meets the translation, the image wbar(lbar) paired with beta
+against lbar paired with gamma = wbar^{-1} beta from `act_inverse_root`.
+Each path skips the finite-part terms when lbar = 0, and a product skips
+the image of a zero translation, as for s_1..s_n.
+
 The probe and the lattice counts of `cores` share one enumerator, `_runs`:
 Fincke-Pohst enumeration on the fraction-free LDL^T that
 `linalg.eliminate` gives for the basis Gram matrix, built once per system
@@ -42,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     IndexOutOfRange,
@@ -79,9 +88,11 @@ class AffineWeight:
     coordinates coords = (m_0, m_1, ..., m_n) and z = `delta_coeff`.
 
     The coordinates are converted to `int` once, here; a non-integral one
-    raises NotDominant.  Derived once: the level sum_i comark_i m_i and
+    raises NotDominant.  Derived once: the level sum_i comark_i m_i,
     `num` = S * finite part in simple-root coordinates, with `den` = S =
-    `weight_scale`.  `m0`, `fund` (m_1..m_n) and `finite` are views.
+    `weight_scale`, and `dominant` (every m_i >= 0), which
+    `require_dominant_integral` reads.  `m0`, `fund` (m_1..m_n) and
+    `finite` are views.
     """
 
     system: RootSystem
@@ -90,6 +101,7 @@ class AffineWeight:
     level: int = field(init=False, repr=False, compare=False)
     num: tuple[int, ...] = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
+    dominant: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         system = self.system
@@ -99,6 +111,7 @@ class AffineWeight:
         put(self, "level", sum(map(mul, system.comarks, coords)))
         put(self, "num", system.scaled_root_coords(coords[1:]))
         put(self, "den", system.weight_scale)
+        put(self, "dominant", min(coords) >= 0)
 
     @property
     def m0(self) -> int:
@@ -112,11 +125,8 @@ class AffineWeight:
     def finite(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def is_dominant_integral(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
     def require_dominant_integral(self):
-        if not self.is_dominant_integral():
+        if not self.dominant:
             raise NotDominant(f"affine weight {self.coords} is not dominant integral")
 
     def __repr__(self):
@@ -164,12 +174,15 @@ class AffineElement:
         return hash((self.system.label, self.beta, self.fbar))
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
-        # (A, a) o (B, b) : x -> A(B x + b) + a
-        fbar = self.fbar * other.fbar
-        beta = tuple(
-            s + t for s, t in zip(self.fbar.act_root(other.beta), self.beta)
-        )
-        return AffineElement(self.system, beta, fbar)
+        # (A, a) o (B, b) : x -> A(B x + b) + a.  Both factors were checked
+        # when built, so the product skips __init__; b = 0 for s_1..s_n and
+        # every finite element, and then the translation is a.
+        w = object.__new__(AffineElement)
+        w.system = self.system
+        w.fbar = self.fbar * other.fbar
+        b = other.beta
+        w.beta = tuple(map(add, self.fbar.act_root(b), self.beta)) if any(b) else self.beta
+        return w
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.beta) and self.fbar.is_identity()
@@ -231,12 +244,18 @@ def _act_scaled(w: AffineElement, mu: AffineWeight):
 
     tau_beta(nu) = nu + level*beta - ((nu|beta) + |beta|^2 level / 2) delta.
     Returns den * (finite part of w(mu)) and the drop of the delta
-    coefficient in units of 1/(2 D den), den = S being mu's scale.
+    coefficient in units of 1/(2 D den), den = S being mu's scale.  G beta
+    is computed once and gives both (image|beta) and (beta|beta); at a
+    weight with no finite part, such as Lambda_0, the image is 0 and
+    wbar is not applied.
     """
-    g = w.system.scaled_inner_product
     beta, shift = w.beta, mu.den * mu.level
+    g_beta = [sum(map(mul, row, beta)) for row in w.system.gram]
+    drop = shift * sum(map(mul, beta, g_beta))
+    if not any(mu.num):
+        return tuple(shift * b for b in beta), drop
     image = w.fbar.act_root(mu.num)  # den * wbar(finite)
-    drop = 2 * g(image, beta) + shift * g(beta, beta)
+    drop += 2 * sum(map(mul, image, g_beta))
     return tuple(c + shift * b for c, b in zip(image, beta)), drop
 
 
@@ -360,28 +379,31 @@ def _delta_pairing(system: RootSystem) -> int:
 def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
     """<lambda - w(lambda), rho^vee>, computed two ways that must agree.
 
-    Direct path: act on the weight and pair with rho^vee, using
-    <alpha_i, rho^vee> = 1 and <delta, rho^vee> = h^vee.  Closed path: the
-    finite part plus the translation correction terms, through
-    gamma = wbar^{-1} beta.  Both run in units of 1/(2 D den).  Writing
-    (lbar | gamma) as (wbar lbar | beta) would make the two paths equal term
-    for term, so gamma goes through `act_inverse_root`.
+    Direct path (`_act_scaled`): act on the weight and pair with rho^vee,
+    using <alpha_i, rho^vee> = 1 and <delta, rho^vee> = h^vee.  Closed
+    path: the finite part plus the translation correction terms, through
+    gamma = wbar^{-1} beta.  Both run in units of 1/(2 D den).  The paths
+    share the weight scale den * level and the form (beta|beta); they
+    differ in how lbar meets the translation: the direct path pairs the
+    image wbar(lbar) with beta, the closed path pairs lbar with gamma from
+    `act_inverse_root`.  Writing (lbar | gamma) as (wbar lbar | beta) would
+    make the two paths equal term for term.  Where lbar = 0, as at
+    Lambda_0, the finite part and the cross term vanish and neither is
+    computed.
     """
     lam.require_dominant_integral()
     system = w.system
     g = system.scaled_inner_product
     hvee, two_d = _delta_pairing(system), 2 * system.gram_scale
-    lnum, shift = lam.num, lam.den * lam.level
+    lnum, shift, beta = lam.num, lam.den * lam.level, w.beta
 
     finite, drop = _act_scaled(w, lam)
     direct = two_d * (sum(lnum) - sum(finite)) + hvee * drop
 
-    finite_part = sum(lnum) - sum(w.fbar.act_root(lnum))
-    # (lbar | gamma) vanishes with lbar, as at Lambda_0; only then is gamma skipped
-    cross = 2 * g(lnum, w.gamma()) if any(lnum) else 0
-    closed = two_d * (finite_part - shift * sum(w.beta)) + hvee * (
-        cross + shift * g(w.beta, w.beta)
-    )
+    closed = hvee * shift * g(beta, beta) - two_d * shift * sum(beta)
+    if any(lnum):
+        finite_part = sum(lnum) - sum(w.fbar.act_root(lnum))
+        closed += two_d * finite_part + 2 * hvee * g(lnum, w.gamma())
     if direct != closed:
         raise InvariantViolation(
             f"dual paths disagree: direct {direct}, closed {closed} "

@@ -30,6 +30,7 @@ residue i when m_i > 0.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from operator import add, sub
 
@@ -49,7 +50,8 @@ Partition = tuple[int, ...]
 
 # Largest size bound `core_sizes` accepts, read at call time.  Its series
 # takes O(N^1.5) integer steps, about 3 s at the cap on a 2-CPU Xeon VM,
-# whatever n is; the `cores` command refuses a larger --max as well.
+# for every n but 1, whose closed form lists the triangular numbers; the
+# `cores` command refuses a larger --max as well.
 CORE_SIZE_CAP = 100_000
 
 
@@ -193,13 +195,19 @@ def core_sizes(n: int, max_size: int):
     divided once by E(q) through f_m = g_m - sum_{j != 0} (-1)^j f_{m - g_j}:
     O(N^1.5) integer steps, with no lattice and no root system.  The lattice
     count of `lattice_value_histogram` and the orbit walk of `orbit_cores`
-    are the other two routes.  n < 1 raises InvalidModulus, max_size < 0
+    are the other two routes.  For t = 2 the product is Gauss's
+    sum_k q^{k(k+1)/2}, one staircase core per triangular number, and that
+    is returned directly.  n < 1 raises InvalidModulus, max_size < 0
     NegativeBound and max_size above `CORE_SIZE_CAP` SizeTooLarge; f_0 != 1
     or a negative count raises InvariantViolation.
     """
     _check_bound(n, max_size)
     if max_size > CORE_SIZE_CAP:
         raise SizeTooLarge(f"size bound {max_size} is above the cap {CORE_SIZE_CAP}")
+    if n == 1:
+        # k(k+1)/2 <= N  iff  2k + 1 <= isqrt(8N + 1)
+        top = (math.isqrt(8 * max_size + 1) - 1) // 2
+        return {k * (k + 1) // 2: 1 for k in range(top + 1)}
     t = n + 1
     top = max_size // t
     odd, even = _pentagonal(max_size)

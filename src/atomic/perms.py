@@ -31,20 +31,9 @@ def check_permutation(w) -> OneLine:
 
 def statistics(w) -> tuple[int, int, int, int, int]:
     """(length, invsum, ninvsum, entropy, cosine) of w, validated once and
-    read from one pass over its pairs, each by its own definition."""
-    return _statistics(check_permutation(w))
-
-
-def statistics_table(n: int):
-    """Yield (w, statistics(w)) for every permutation w of 1..n, in
-    lexicographic order.  `itertools.permutations` builds each w from 1..n,
-    so none is validated again."""
-    for w in permutations(range(1, n + 1)):
-        yield w, _statistics(w)
-
-
-def _statistics(w):
-    """`statistics` of a tuple already known to permute 1..n."""
+    read from one pass over its pairs, each by its own definition; the
+    reference for `statistics_table`."""
+    w = check_permutation(w)
     n = len(w)
     length = inv = ninv = 0
     for i in range(n):
@@ -63,6 +52,43 @@ def _statistics(w):
         sum((k - v) ** 2 for k, v in zip(positions, w)),
         sum(map(mul, positions, w)),
     )
+
+
+def statistics_table(n: int):
+    """Yield (w, statistics(w)) for every permutation w of 1..n, in
+    lexicographic order, built prefix by prefix from 1..n, so none is
+    validated again.
+
+    A depth-first walk over prefixes: placing v at position k adds its
+    pairs with the prefix to length, invsum (k - p for each earlier
+    w_p > v) and ninvsum (k - p for each w_p < v), and its own terms
+    (k - v)^2 and k v to entropy and cosine, each by its own definition.
+    The stack holds one entry per unexpanded prefix, at most n^2 / 2, and
+    no row is built before it is asked for.
+    """
+    if n == 0:
+        yield (), (0, 0, 0, 0, 0)
+        return
+    stack = [((), tuple(range(1, n + 1)), 0, 0, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, remaining, length, inv, ninv, ent, cos = pop()
+        k = len(prefix) + 1
+        # pushed largest first, so the stack hands back the smallest
+        for idx in range(len(remaining) - 1, -1, -1):
+            v = remaining[idx]
+            l, a, b = length, inv, ninv
+            for p, u in enumerate(prefix, 1):
+                if u > v:
+                    l += 1
+                    a += k - p
+                else:
+                    b += k - p
+            if k == n:  # the one value left completes the permutation
+                yield prefix + (v,), (l, a, b, ent + (k - v) ** 2, cos + k * v)
+            else:
+                push((prefix + (v,), remaining[:idx] + remaining[idx + 1:],
+                      l, a, b, ent + (k - v) ** 2, cos + k * v))
 
 
 def cosine(w) -> int:

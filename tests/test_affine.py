@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomic.errors import IndexOutOfRange, InvalidType, NegativeBound, NotDominant
 from atomic.fixtures import AFFINE_A2_TABLE, shi_minus_ones, shi_pattern
@@ -21,11 +24,12 @@ from atomic.affine import (
     basic_weight,
     embed_finite,
     level_one_atomic_length,
+    orbit_depth_histogram,
     shi_vector,
     translation_lattice_basis,
     weight_reflect,
 )
-from atomic.weyl import enumerate_group, evaluate
+from atomic.weyl import WeylElement, enumerate_group, evaluate
 
 
 def apply_point(w: AffineElement, x):
@@ -228,6 +232,72 @@ def test_affine_atomic_length_requires_dominant():
     bad = AffineWeight(a2, (-1, 1, 1))  # level 1, finite part rho
     with pytest.raises(NotDominant):
         affine_atomic_length(affine_identity(a2), bad)
+
+
+def test_reflected_weights_are_checked_where_built():
+    # dominance is read once, when a weight is built, also for the weights
+    # weight_reflect builds: s_i lowers m_i to -m_i
+    b3 = root_system("B3~")
+    lam = affine_weight(b3, (0, 1, 0, 1))
+    assert lam.dominant
+    for i, m in enumerate(lam.coords):
+        image = weight_reflect(lam, i)
+        assert image.dominant == (m == 0)
+        if m:
+            with pytest.raises(NotDominant, match="not dominant integral"):
+                affine_atomic_length(affine_identity(b3), image)
+            with pytest.raises(NotDominant):
+                orbit_depth_histogram(b3, image, 5)
+            with pytest.raises(NotDominant):
+                affine_image_probe(b3, image, 2)
+        else:
+            assert image == lam and affine_atomic_length(affine_identity(b3), image) == 0
+
+
+AFFINE_TYPES_TO_RANK_4 = (
+    "A1~", "A2~", "A3~", "A4~", "B2~", "B3~", "B4~",
+    "C2~", "C3~", "C4~", "D4~", "F4~", "G2~",
+)
+
+
+def _apply_columns(cols, x):
+    """sum_j x_j cols_j: a matrix given by its columns applied to x."""
+    return tuple(sum(c * col[k] for c, col in zip(x, cols)) for k in range(len(x)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(label=st.sampled_from(AFFINE_TYPES_TO_RANK_4), data=st.data())
+def test_products_match_the_pair_formula(label, data):
+    # a product is built without __init__ and keeps the left translation
+    # when the right one is 0; the reference folds the word through the
+    # constructor and (A, a) o (B, b) = (AB, A b + a) on column lists
+    system = root_system(label)
+    n = system.rank
+    word = data.draw(st.lists(st.integers(0, n), max_size=9))
+    word.insert(data.draw(st.integers(0, len(word))), 0)  # every word has s_0
+    expected = AffineElement(system, (0,) * n, evaluate(system, ()))
+    for i in word:
+        gen = affine_generator(system, i)
+        a_cols, a = expected.fbar.cols, expected.beta
+        product_cols = tuple(_apply_columns(a_cols, col) for col in gen.fbar.cols)
+        expected = AffineElement(
+            system,
+            tuple(map(add, _apply_columns(a_cols, gen.beta), a)),
+            WeylElement(system, product_cols),
+        )
+    element = affine_from_word(system, word)
+    assert element == expected
+    assert (element.beta, element.fbar.cols) == (expected.beta, expected.fbar.cols)
+
+    # the action on a weight, and on one with no finite part, where
+    # _act_scaled does not apply wbar, against the letters rightmost first
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))
+    z = data.draw(st.integers(-3, 3))
+    for mu in (AffineWeight(system, coords, z), AffineWeight(system, coords[:1] + [0] * n, z)):
+        letter_by_letter = mu
+        for i in reversed(word):
+            letter_by_letter = act_element_on_weight(affine_generator(system, i), letter_by_letter)
+        assert act_element_on_weight(element, mu) == letter_by_letter
 
 
 def test_dual_path_lengths_many_words():

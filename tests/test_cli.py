@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -281,3 +282,19 @@ def test_entropy_csv_matches_pair_counts(capsys, n):
         lines.append(",".join(map(str, row)))
     code, out, err = run_cli(capsys, "entropy", "--n", str(n))
     assert (code, out, err) == (0, "\r\n".join(lines) + "\r\n", "")
+
+
+# SHA-256 of `atomic entropy --n N` stdout, pinned from the table built by
+# itertools.permutations and one pass over each permutation's pairs
+ENTROPY_SHA256 = {
+    6: "8298435222c552ae7a5412097ae34e7512e8ef1bf4ff46f3b9b85a38b49de7f8",
+    7: "c2b3b31fa9ddf374023e2ee9b03ea8ae6e08cea2b84031569e3adb2c3ab7524c",
+    8: "29f5dc20c1a021a46f74c403af4719b8a73b79a2490e70dab76b2d9ebcf7fb53",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENTROPY_SHA256))
+def test_entropy_csv_is_byte_identical_to_the_pinned_digest(capsys, n):
+    code, out, err = run_cli(capsys, "entropy", "--n", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENTROPY_SHA256[n]

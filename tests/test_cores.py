@@ -360,6 +360,17 @@ def test_core_sizes_match_generating_function(t):
     assert (len(sizes) == bound + 1) == (t >= 4)
 
 
+def test_two_cores_in_closed_form_match_the_series():
+    # t = 2 is answered by Gauss's sum of q^{k(k+1)/2}, not by the division
+    # loop; the product, expanded factor by factor, checks it at each bound
+    series = _t_core_series(2, 5000)
+    for bound in (0, 1, 2, 3, 5, 6, 7, 4949, 4950, 4951, 5000):
+        assert core_sizes(1, bound) == _nonzero(series[: bound + 1]), bound
+    # at the cap: one staircase (k, k-1, ..., 1) for each k <= 446
+    sizes = core_sizes(1, cores.CORE_SIZE_CAP)
+    assert len(sizes) == 447 and max(sizes) == 446 * 447 // 2
+
+
 @pytest.mark.parametrize(
     "n, bound", [(1, 60), (2, 60), (3, 60), (4, 50), (5, 40), (6, 35), (7, 30), (8, 30)]
 )

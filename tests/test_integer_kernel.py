@@ -476,3 +476,53 @@ def test_dual_path_check_survives_optimized_mode():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("raised: dual paths disagree"), result.stdout
+
+
+# -- the check also catches a broken closed path ------------------------------
+#
+# The two tests above break the direct path at Lambda_0, where the closed
+# path skips its cross term.  At B3~ (0, 1, 0, 1) the finite part lbar is
+# not 0, so the closed path reads gamma = wbar^{-1} beta; shifting gamma by
+# alpha_1 moves the cross term by 2 h^vee (lbar | alpha_1) != 0.
+
+def test_closed_path_disagreement_raises(monkeypatch):
+    b3 = root_system("B3~")
+    element = affine.affine_from_word(b3, (0, 1, 2))
+    lam = affine.affine_weight(b3, (0, 1, 0, 1))
+    assert any(lam.num) and affine.affine_atomic_length(element, lam) == 1
+    gamma = affine.AffineElement.gamma
+    monkeypatch.setattr(
+        affine.AffineElement, "gamma", lambda self: (gamma(self)[0] + 1,) + gamma(self)[1:]
+    )
+    with pytest.raises(InvariantViolation, match="dual paths disagree"):
+        affine.affine_atomic_length(element, lam)
+
+
+def test_closed_path_check_survives_optimized_mode():
+    script = textwrap.dedent(
+        """
+        from atomic import affine
+        from atomic.errors import InvariantViolation
+        from atomic.rootdata import root_system
+
+        assert False, "asserts are stripped under -O, so this line is inert"
+        gamma = affine.AffineElement.gamma
+        affine.AffineElement.gamma = lambda self: (gamma(self)[0] + 1,) + gamma(self)[1:]
+        b3 = root_system("B3~")
+        element = affine.affine_from_word(b3, (0, 1, 2))
+        try:
+            affine.affine_atomic_length(element, affine.affine_weight(b3, (0, 1, 0, 1)))
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        else:
+            print("not raised")
+        """
+    )
+    src = str(Path(atomic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: dual paths disagree"), result.stdout

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -101,10 +102,24 @@ def test_rejects_entries_that_are_not_ints():
 
 
 def test_statistics_table_lists_every_permutation_once():
-    for n in range(1, 7):
+    for n in range(8):
         table = list(statistics_table(n))
         assert [w for w, _ in table] == list(permutations(range(1, n + 1)))
         assert all(row == statistics(w) for w, row in table)
+
+
+def test_statistics_table_is_lazy():
+    # the first of 10! rows comes from the first prefix walked down, not
+    # from a table: the walk holds a few dozen prefixes at that point
+    tracemalloc.start()
+    try:
+        first = next(statistics_table(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    identity = tuple(range(1, 11))
+    assert first == (identity, statistics(identity))
+    assert peak < 1_000_000, peak
 
 
 def test_statistics_match_the_single_statistics():
