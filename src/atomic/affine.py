@@ -24,6 +24,9 @@ forward image of the scaled alcove point N x0, N = h S.  The set-up is in
 integers too: N x0, the probe's certificate and the lattice LDL^T;
 `alcove_point` and `AffineWeight.finite` are the only Fraction views.
 
+An `AffineWeight` and an `AffineElement` are checked once, when built; each
+entry point that takes a weight makes one call, `require_dominant_in`.
+
 `affine_atomic_length` computes each value by two paths that must agree,
 also under `python -O`: the direct path acts on the weight (`_act_scaled`),
 the closed path adds the translation terms to the finite part.  They share
@@ -63,7 +66,7 @@ from .errors import (
     UnsupportedType,
 )
 from .linalg import eliminate, exact_div
-from .rootdata import RootSystem, integral_coords, per_system
+from .rootdata import RootSystem, integral_coords, per_system, same_system
 from .weyl import (
     WeylElement,
     group_order,
@@ -87,12 +90,12 @@ class AffineWeight:
     """The weight sum_i m_i Lambda_i + z delta, stored as its integer
     coordinates coords = (m_0, m_1, ..., m_n) and z = `delta_coeff`.
 
-    The coordinates are converted to `int` once, here; a non-integral one
-    raises NotDominant.  Derived once: the level sum_i comark_i m_i,
-    `num` = S * finite part in simple-root coordinates, with `den` = S =
-    `weight_scale`, and `dominant` (every m_i >= 0), which
-    `require_dominant_integral` reads.  `m0`, `fund` (m_1..m_n) and
-    `finite` are views.
+    Checked once, here: an affine label (InvalidType), n + 1 coordinates
+    (IndexOutOfRange), each an integer (NotDominant), converted to `int`.
+    Derived once: the level sum_i comark_i m_i, `num` = S * finite part in
+    simple-root coordinates, with `den` = S = `weight_scale`, and
+    `dominant` (every m_i >= 0).  `m0`, `fund` (m_1..m_n) and `finite` are
+    views.
     """
 
     system: RootSystem
@@ -105,6 +108,11 @@ class AffineWeight:
 
     def __post_init__(self):
         system = self.system
+        _require_affine(system)
+        if len(self.coords) != system.rank + 1:
+            raise IndexOutOfRange(
+                f"expected {system.rank + 1} coordinates m_0..m_n, got {len(self.coords)}"
+            )
         coords = integral_coords(self.coords, "affine weight")
         put = object.__setattr__
         put(self, "coords", coords)
@@ -125,7 +133,9 @@ class AffineWeight:
     def finite(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def require_dominant_integral(self):
+    def require_dominant_in(self, system: RootSystem):
+        """As `Weight.require_dominant_in`."""
+        same_system(self.system, system)
         if not self.dominant:
             raise NotDominant(f"affine weight {self.coords} is not dominant integral")
 
@@ -135,29 +145,24 @@ class AffineWeight:
 
 def affine_weight(system: RootSystem, coords) -> AffineWeight:
     """Build a weight from affine fundamental coordinates (m_0, m_1, ..., m_n)."""
-    _require_affine(system)
-    coords = tuple(coords)
-    if len(coords) != system.rank + 1:
-        raise IndexOutOfRange(
-            f"expected {system.rank + 1} coordinates m_0..m_n, got {len(coords)}"
-        )
-    return AffineWeight(system, coords)
+    return AffineWeight(system, tuple(coords))
 
 
 def basic_weight(system: RootSystem) -> AffineWeight:
     """The level-one weight with trivial finite part (Lambda_0)."""
-    _require_affine(system)
     return AffineWeight(system, (1,) + (0,) * system.rank)
 
 
 class AffineElement:
     """Pair (beta, wbar) acting on the finite coordinate space as
-    x -> wbar(x) + beta."""
+    x -> wbar(x) + beta.  Checked once, when built: the system must carry
+    an affine label (InvalidType) and wbar belong to it (SystemMismatch)."""
 
     __slots__ = ("system", "beta", "fbar")
 
     def __init__(self, system: RootSystem, beta, fbar: WeylElement):
         _require_affine(system)
+        same_system(fbar.system, system)
         self.system = system
         self.beta = tuple(beta)
         self.fbar = fbar
@@ -196,12 +201,10 @@ class AffineElement:
 
 
 def affine_identity(system: RootSystem) -> AffineElement:
-    _require_affine(system)
     return AffineElement(system, (0,) * system.rank, identity_element(system))
 
 
 def affine_generator(system: RootSystem, i: int) -> AffineElement:
-    _require_affine(system)
     if not 0 <= i <= system.rank:
         raise IndexOutOfRange(f"affine index {i} outside 0..{system.rank}")
     if i == 0:
@@ -264,6 +267,7 @@ def act_element_on_weight(w: AffineElement, mu: AffineWeight) -> AffineWeight:
     read back as coordinates: m_j = <finite, alpha_j^vee> for j >= 1 and
     m_0 = level - <finite, theta^vee>."""
     system = w.system
+    same_system(mu.system, system)
     num, drop = _act_scaled(w, mu)
     fund = tuple(
         exact_div(sum(map(mul, row, num)), mu.den, "fundamental coordinate")
@@ -391,8 +395,8 @@ def affine_atomic_length(w: AffineElement, lam: AffineWeight) -> int:
     Lambda_0, the finite part and the cross term vanish and neither is
     computed.
     """
-    lam.require_dominant_integral()
     system = w.system
+    lam.require_dominant_in(system)
     g = system.scaled_inner_product
     hvee, two_d = _delta_pairing(system), 2 * system.gram_scale
     lnum, shift, beta = lam.num, lam.den * lam.level, w.beta
@@ -443,8 +447,7 @@ def orbit_depth_histogram(system: RootSystem, lam: AffineWeight, max_depth: int)
     At positive level these coordinates fix an orbit weight (the invariant
     norm fixes its delta coefficient), and max_depth keeps the orbit finite.
     """
-    _require_affine(system)
-    lam.require_dominant_integral()
+    lam.require_dominant_in(system)
     return orbit_depths(affine_cartan(system), lam.coords, max_depth)
 
 
@@ -684,8 +687,7 @@ def affine_image_probe(
     `searched` counts the group elements wbar . tau valued, |W| per lattice
     point away from Lambda_0.  PROBE_CAP bounds the lattice points tried.
     """
-    _require_affine(system)
-    lam.require_dominant_integral()
+    lam.require_dominant_in(system)
     if radius < 0:
         raise NegativeBound(f"radius {radius} must be nonnegative")
     ball = lattice_ball(system, radius)

@@ -21,7 +21,7 @@ from operator import mul
 
 from .errors import InvariantViolation, OrbitTooLarge
 from .linalg import exact_div
-from .rootdata import RootSystem, Weight, per_system
+from .rootdata import RootSystem, Weight, per_system, same_system
 from .weyl import (
     WeylElement,
     _descent_tree,
@@ -49,8 +49,8 @@ def lambda_atomic_length(w: WeylElement, lam: Weight):
     Runs on S * lambda in simple-root coordinates (S = `weight_scale`), an
     integer vector; the height difference is divided by S once.
     """
-    lam.require_dominant_integral()
     system = w.system
+    lam.require_dominant_in(system)
     scaled = system.scaled_root_coords(lam.fund)
     drop = sum(scaled) - sum(w.act_root(scaled))
     value = exact_div(drop, system.weight_scale, "<lambda - w(lambda), rho^vee>")
@@ -86,6 +86,7 @@ class LambdaInversionSet:
 
 def lambda_inversion_set(system: RootSystem, word, lam: Weight) -> LambdaInversionSet:
     """Scaled inversion multiset { m_j * prefix(alpha_j) } along a reduced word."""
+    same_system(lam.system, system)
     roots = inversion_set_from_word(system, word)  # raises NotReduced when not reduced
     occurrences = {}
     entries = []
@@ -276,7 +277,7 @@ def image_set(system: RootSystem, lam: Weight, cap=ORBIT_CAP, histogram=False) -
     """All values of the lambda-atomic length on W, via the parabolic
     recursion; `cap` bounds the orbit size |W.lambda|."""
     system.require_finite("the image is taken over a finite type")
-    lam.require_dominant_integral()
+    lam.require_dominant_in(system)
     predicted = dominant_orbit_size(system, lam.fund)
     if predicted > cap:
         raise OrbitTooLarge(f"orbit has {predicted} weights, above cap {cap}")
@@ -303,7 +304,7 @@ def atomic_length_w0(system: RootSystem, lam: Weight) -> int:
     as -w0 permutes the simple coroots and fixes rho^vee; <lambda, rho^vee> is
     sum(S lambda) / S in scaled root coordinates (S = `weight_scale`)."""
     system.require_finite("w0 is taken in the finite Weyl group")
-    lam.require_dominant_integral()
+    lam.require_dominant_in(system)
     scaled = system.scaled_root_coords(lam.fund)
     return exact_div(2 * sum(scaled), system.weight_scale, "2<lambda, rho^vee>")
 
@@ -321,7 +322,7 @@ def is_ideal(system: RootSystem, lam: Weight) -> IdealReport:
     A dominant weight whose coordinates are all at least 2 can never attain
     the value 1, so such weights are rejected without walking the orbit.
     """
-    lam.require_dominant_integral()
+    lam.require_dominant_in(system)
     if all(c >= 2 for c in lam.fund) and any(c > 0 for c in lam.fund):
         return IdealReport(False, "no coordinate equals 1", None)
     report = image_set(system, lam)

@@ -10,7 +10,6 @@ traceback.  All outputs are deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -160,10 +159,6 @@ def cmd_affine(args):
 
 
 def cmd_cores(args):
-    # the listing names every missing size in 0..--max, whatever the walk
-    # visits, so both routes take the size cap of the count
-    if args.max > cores.CORE_SIZE_CAP:
-        raise SizeTooLarge(f"--max {args.max} is above the cap {cores.CORE_SIZE_CAP}")
     if args.count_only:
         sizes = cores.core_sizes(args.n, args.max)
     else:
@@ -191,12 +186,13 @@ def cmd_cores(args):
 def cmd_entropy(args):
     if args.n > ENTROPY_N_CAP:
         raise SizeTooLarge(f"--n {args.n} is above the cap {ENTROPY_N_CAP}")
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["one_line", "length", "invsum", "ninvsum", "entropy", "cosine"]
-    )
-    for w, row in perms.statistics_table(args.n):
-        writer.writerow(["".join(map(str, w)), *row])
+    # CSV with csv's "\r\n" line ends; every field is digits, so none is
+    # quoted.  Each value's spelling is made once, not once per row.
+    spell = [str(v) for v in range(args.n + 1)].__getitem__
+    write = sys.stdout.write
+    write("one_line,length,invsum,ninvsum,entropy,cosine\r\n")
+    for w, (length, inv, ninv, ent, cos) in perms.statistics_table(args.n):
+        write(f"{''.join(map(spell, w))},{length},{inv},{ninv},{ent},{cos}\r\n")
     return 0
 
 

@@ -50,8 +50,8 @@ Partition = tuple[int, ...]
 
 # Largest size bound `core_sizes` accepts, read at call time.  Its series
 # takes O(N^1.5) integer steps, about 3 s at the cap on a 2-CPU Xeon VM,
-# for every n but 1, whose closed form lists the triangular numbers; the
-# `cores` command refuses a larger --max as well.
+# for every n but 1, whose closed form lists the triangular numbers;
+# `orbit_cores` refuses a larger bound as well, through `_check_size`.
 CORE_SIZE_CAP = 100_000
 
 
@@ -151,15 +151,17 @@ def _check_bound(n: int, max_size: int):
         raise NegativeBound(f"size bound {max_size} must be nonnegative")
 
 
-def _affine_a(n: int, max_size: int):
-    """The root system of A_n~, once n and the size bound are checked."""
+def _check_size(n: int, max_size: int):
+    """`_check_bound` and `CORE_SIZE_CAP`, the cap of the series and the walk."""
     _check_bound(n, max_size)
-    return root_system(f"A{n}~")
+    if max_size > CORE_SIZE_CAP:
+        raise SizeTooLarge(f"size bound {max_size} is above the cap {CORE_SIZE_CAP}")
 
 
 def _basic_orbit(n: int, max_size: int):
     """The affine Cartan matrix of A_n~ and the coordinates of Lambda_0."""
-    return affine_cartan(_affine_a(n, max_size)), (1,) + (0,) * n
+    _check_size(n, max_size)
+    return affine_cartan(root_system(f"A{n}~")), (1,) + (0,) * n
 
 
 def orbit_cores(n: int, max_size: int):
@@ -201,9 +203,7 @@ def core_sizes(n: int, max_size: int):
     NegativeBound and max_size above `CORE_SIZE_CAP` SizeTooLarge; f_0 != 1
     or a negative count raises InvariantViolation.
     """
-    _check_bound(n, max_size)
-    if max_size > CORE_SIZE_CAP:
-        raise SizeTooLarge(f"size bound {max_size} is above the cap {CORE_SIZE_CAP}")
+    _check_size(n, max_size)
     if n == 1:
         # k(k+1)/2 <= N  iff  2k + 1 <= isqrt(8N + 1)
         top = (math.isqrt(8 * max_size + 1) - 1) // 2
@@ -247,7 +247,8 @@ def lattice_value_histogram(n: int, max_value: int):
     points tried (RadiusTooLarge).  A core of size N is such a point of
     value N, so this is the lattice route to `core_sizes`.  n < 1 raises
     InvalidModulus and max_value < 0 NegativeBound."""
-    return level_one_histogram(_affine_a(n, max_value), max_value)[0]
+    _check_bound(n, max_value)
+    return level_one_histogram(root_system(f"A{n}~"), max_value)[0]
 
 
 def count_lattice_points(n: int, target: int):

@@ -22,18 +22,21 @@ e_i - e_j are read through it too.  Exact divisions go through
 Fractions appear only in the views `root_coords`, `inner_product`,
 `coroot_pairing` and `Weight.root`, and in the input check
 `integral_coords`.
+
+A weight checks its coordinates once, when built; each entry point that
+takes one with a system or an element makes one call, `require_dominant_in`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from operator import mul
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidType, NotDominant, SystemMismatch
 from .linalg import eliminate, exact_div, mat_vec
 
 _RANK_RANGE = {
@@ -143,7 +146,6 @@ class RootSystem:
         self.cartan = cartan_matrix(label.family, n)
 
         self.positive_roots = self._generate_positive_roots()
-        self._positive_set = frozenset(self.positive_roots)
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         # (support bitmask, height) per positive root, read by weyl.parabolic_order
         self.root_supports = tuple(
@@ -260,7 +262,7 @@ class RootSystem:
 
     def is_root(self, coords) -> bool:
         c = tuple(coords)
-        return c in self._positive_set or tuple(-x for x in c) in self._positive_set
+        return c in self.root_index or tuple(-x for x in c) in self.root_index
 
     def simple_root(self, i: int):
         if not 1 <= i <= self.rank:
@@ -270,10 +272,6 @@ class RootSystem:
     # -- weights ---------------------------------------------------------
 
     def weight(self, *fund) -> "Weight":
-        if len(fund) != self.rank:
-            raise DimensionMismatch(
-                f"expected {self.rank} fundamental coordinates, got {len(fund)}"
-            )
         return Weight(self, fund)
 
     def fundamental_weight(self, i: int) -> "Weight":
@@ -302,33 +300,50 @@ def integral_coords(coords, what: str) -> tuple[int, ...]:
     return tuple(c.numerator for c in exact)
 
 
+def same_system(a: RootSystem, b: RootSystem):
+    """Refuse two root systems of different types with SystemMismatch; two
+    systems built apart for one type are the same system."""
+    if a is not b and a.label != b.label:
+        raise SystemMismatch(f"{a.label} vs {b.label}")
+
+
 @dataclass(frozen=True)
 class Weight:
     """An integral weight given by its fundamental-weight coordinates.
 
-    The coordinates are converted to `int` once, here; a non-integral one
-    raises NotDominant.
+    Checked once, here: one coordinate per simple root (DimensionMismatch),
+    each an integer (NotDominant), converted to `int`; `dominant` records
+    whether every coordinate is >= 0.
     """
 
     system: RootSystem
     fund: tuple[int, ...]
+    dominant: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fund", integral_coords(self.fund, "weight"))
+        rank = self.system.rank
+        if len(self.fund) != rank:
+            raise DimensionMismatch(
+                f"expected {rank} fundamental coordinates, got {len(self.fund)}"
+            )
+        fund = integral_coords(self.fund, "weight")
+        object.__setattr__(self, "fund", fund)
+        object.__setattr__(self, "dominant", min(fund) >= 0)
 
     @property
     def root(self) -> tuple[Fraction, ...]:
         return self.system.root_coords(self.fund)
 
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.fund)
-
-    def require_dominant_integral(self):
-        if not self.is_dominant():
+    def require_dominant_in(self, system: RootSystem):
+        """The one check of an entry point that takes this weight with a
+        system or an element of it: the weight must belong to `system`
+        (SystemMismatch) and be dominant (NotDominant)."""
+        same_system(self.system, system)
+        if not self.dominant:
             raise NotDominant(f"weight {self.fund} is not dominant integral")
 
     def __sub__(self, other: "Weight") -> "Weight":
-        _same_system(self.system, other.system)
+        same_system(self.system, other.system)
         return Weight(self.system, tuple(a - b for a, b in zip(self.fund, other.fund)))
 
     def __rmul__(self, k) -> "Weight":
@@ -343,13 +358,6 @@ class Weight:
 
     def __hash__(self):
         return hash((self.system.label, self.fund))
-
-
-def _same_system(a: RootSystem, b: RootSystem):
-    if a.label != b.label:
-        from .errors import SystemMismatch
-
-        raise SystemMismatch(f"{a.label} vs {b.label}")
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,7 @@ from .errors import (
     SystemMismatch,
 )
 from .linalg import exact_div
-from .rootdata import RootSystem, Weight, per_system
+from .rootdata import RootSystem, Weight, per_system, same_system
 
 GROUP_ENUMERATION_CAP = 10**7
 ORBIT_WALK_CAP = 2**23
@@ -212,8 +212,7 @@ class WeylElement:
         )
 
     def act_weight(self, wt: Weight) -> Weight:
-        if wt.system.label != self.system.label:
-            raise SystemMismatch(f"{wt.system.label} vs {self.system.label}")
+        same_system(wt.system, self.system)
         # on S * lambda (S = weight_scale) in simple-root coordinates, all
         # integers; the image's fundamental coordinates are S times integers
         system = self.system
@@ -319,20 +318,14 @@ def simple_reflection(system: RootSystem, i: int) -> WeylElement:
     return root_reflection(system, system.simple_root(i))
 
 
-_REFLECTION_CACHE: dict = {}
-
-
+@per_system
 def root_reflection(system: RootSystem, root) -> WeylElement:
-    """The reflection s_beta(x) = x - <x, beta^vee> beta for any root beta.
+    """The reflection s_beta(x) = x - <x, beta^vee> beta for any root beta,
+    a tuple, built once per system and root.
 
     <x, beta^vee> = 2 x^T G beta / beta^T G beta is a dot product of x with
     an integer row, which the reflection keeps for its products.
     """
-    root = tuple(root)
-    key = (system.label, root)
-    cached = _REFLECTION_CACHE.get(key)
-    if cached is not None:
-        return cached
     n = system.rank
     g_root = tuple(sum(map(mul, row, root)) for row in system.gram)
     norm = sum(map(mul, root, g_root))
@@ -342,9 +335,7 @@ def root_reflection(system: RootSystem, root) -> WeylElement:
     flat = tuple(
         int(k == j) - coroot[j] * root[k] for j in range(n) for k in range(n)
     )
-    t = _element(system, flat, (root, coroot))
-    _REFLECTION_CACHE[key] = t
-    return t
+    return _element(system, flat, (root, coroot))
 
 
 def evaluate(system: RootSystem, word) -> WeylElement:
@@ -657,8 +648,7 @@ def reflection_root(system: RootSystem, t: WeylElement):
     locates the candidate root and then matches t against s_alpha exactly.
     An element of another system raises SystemMismatch.
     """
-    if t.system is not system and t.system.label != system.label:
-        raise SystemMismatch(f"{t.system.label} vs {system.label}")
+    same_system(t.system, system)
     for alpha in system.positive_roots:
         if t.act_root(alpha) == tuple(-c for c in alpha):
             if t == root_reflection(system, alpha):

@@ -202,9 +202,10 @@ def test_orbit_cap(monkeypatch):
     monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 10)
     with pytest.raises(OrbitTooLarge):
         orbit_cores(2, 100)
+    # a bound above CORE_SIZE_CAP is refused before the walk (test_core_size_cap)
     monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 1000)
     with pytest.raises(OrbitTooLarge):
-        orbit_cores(3, 10**18)
+        orbit_cores(3, cores.CORE_SIZE_CAP)
     # the walk's cap counts the cores visited: seven 3-cores have size <= 5
     monkeypatch.setattr(weyl, "ORBIT_WALK_CAP", 7)
     assert sum(map(len, orbit_cores(2, 5).values())) == 7
@@ -385,11 +386,17 @@ def test_core_size_cap(monkeypatch):
     # read at call time; the cap itself is accepted, one above it refused
     monkeypatch.setattr(cores, "CORE_SIZE_CAP", 50)
     assert core_sizes(2, 50) == lattice_value_histogram(2, 50)
-    with pytest.raises(SizeTooLarge, match="size bound 51 is above the cap 50"):
-        core_sizes(2, 51)
+    # the walk refuses through the same check, before it visits a core
+    for entry in (core_sizes, orbit_cores):
+        with pytest.raises(SizeTooLarge, match="size bound 51 is above the cap 50"):
+            entry(2, 51)
     # the ball keeps its own cap, PROBE_CAP
     assert lattice_value_histogram(2, 51) == _nonzero(_t_core_series(3, 51))
     monkeypatch.undo()
     assert cores.CORE_SIZE_CAP == 100_000
     with pytest.raises(SizeTooLarge, match="size bound 100001 is above the cap 100000"):
         core_sizes(1, 100_001)
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge, match="size bound 100001 is above the cap 100000"):
+        orbit_cores(2, cores.CORE_SIZE_CAP + 1)
+    assert time.perf_counter() - start < 1

@@ -1,8 +1,9 @@
 """Source hygiene: no `assert` in the package, no unused imports, no
-function without a reader in the package beyond a pinned few, Fractions
-only where a denominator is real (only two modules import them, and there
-only views and input checks name them), and the fixture suite passes under
-`python -O`.
+function without a reader in the package beyond a pinned few, every entry
+point that takes a weight with a system or an element checks that they
+belong together, Fractions only where a denominator is real (only two
+modules import them, and there only views and input checks name them), and
+the fixture suite passes under `python -O`.
 
 The package checks its invariants by raising `InvariantViolation`, because
 `python -O` strips `assert` statements; these tests keep it that way.
@@ -142,6 +143,87 @@ def test_reader_scan_sees_unread_functions():
     }
     # f and C.k read only themselves, C.j nothing; g is re-exported
     assert unread_functions(trees) == ["m.C.j", "m.C.k", "m.f"]
+
+
+# an entry point takes a weight together with a system or an element, read
+# from its annotations (a method's `self` has its class's type), and checks
+# that they belong together by one of these calls
+WEIGHT_TYPES = {"Weight", "AffineWeight"}
+SYSTEM_TYPES = {"RootSystem", "WeylElement", "AffineElement"}
+SYSTEM_CHECKS = {"require_dominant_in", "same_system"}
+WEIGHT_ENTRY_POINTS = {
+    "rootdata.Weight.require_dominant_in",
+    "weyl.WeylElement.act_weight",
+    "atomiclen.lambda_atomic_length",
+    "atomiclen.lambda_inversion_set",
+    "atomiclen.image_set",
+    "atomiclen.atomic_length_w0",
+    "atomiclen.is_ideal",
+    "affine.AffineWeight.require_dominant_in",
+    "affine.act_element_on_weight",
+    "affine.affine_atomic_length",
+    "affine.orbit_depth_histogram",
+    "affine.affine_image_probe",
+}
+
+
+def _type_name(annotation):
+    if isinstance(annotation, ast.Constant):  # a quoted annotation
+        return annotation.value
+    if isinstance(annotation, ast.Attribute):  # module.Type
+        return annotation.attr
+    return getattr(annotation, "id", None)
+
+
+def weight_entry_points(tree):
+    """{qualified name: whether it calls one of SYSTEM_CHECKS} over the
+    public functions and methods that take a weight together with a system
+    or an element."""
+    found = {}
+    for qualified, node in _defined_functions(tree):
+        if any(part.startswith("_") for part in qualified.split(".")):
+            continue
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        types = {_type_name(a.annotation) for a in args}
+        if "." in qualified and args:
+            types.add(qualified.split(".")[0])  # self
+        if types & WEIGHT_TYPES and types & SYSTEM_TYPES:
+            called = {
+                getattr(n.func, "attr", getattr(n.func, "id", None))
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call)
+            }
+            found[qualified] = bool(called & SYSTEM_CHECKS)
+    return found
+
+
+def test_weight_entry_points_check_the_system():
+    found = {}
+    for p in PACKAGE_FILES:
+        tree = ast.parse(p.read_text(), str(p))
+        found |= {f"{p.stem}.{name}": ok for name, ok in weight_entry_points(tree).items()}
+    assert sorted(name for name, ok in found.items() if not ok) == []
+    # a new entry point is listed here, and one that drops its annotations is missed
+    assert set(found) == WEIGHT_ENTRY_POINTS
+
+
+def test_entry_point_scan_sees_unchecked_weights():
+    tree = ast.parse(
+        "def f(system: RootSystem, lam: Weight):\n    return lam.fund\n"
+        "def g(w: 'WeylElement', lam: Weight):\n    lam.require_dominant_in(w.system)\n"
+        "def h(system: rootdata.RootSystem, mu: AffineWeight):\n"
+        "    same_system(mu.system, system)\n"
+        "def _p(system: RootSystem, lam: Weight):\n    pass\n"
+        "def k(lam: Weight, i: int):\n    pass\n"
+        "class AffineElement:\n    def act(self, mu: 'AffineWeight'):\n        pass\n"
+        "    def _act(self, mu: AffineWeight):\n        pass\n"
+        "class Weight:\n    def at(self, system: RootSystem):\n        pass\n"
+    )
+    # f, AffineElement.act and Weight.at take a weight with a system or an
+    # element and check nothing; _p and _act are private, k has no system
+    assert weight_entry_points(tree) == {
+        "f": False, "g": True, "h": True, "AffineElement.act": False, "Weight.at": False
+    }
 
 
 def imported_modules(tree):

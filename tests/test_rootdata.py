@@ -247,8 +247,8 @@ def test_weight_coordinates_roundtrip():
         wt = system.weight(*range(1, system.rank + 1))
         back = system.fund_coords(wt.root)
         assert tuple(back) == wt.fund
-        assert wt.is_dominant()
-        assert not system.weight(-1, *[0] * (system.rank - 1)).is_dominant()
+        assert wt.dominant
+        assert not system.weight(-1, *[0] * (system.rank - 1)).dominant
 
 
 def test_weight_coordinates_are_checked_integers():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import deque
 from itertools import combinations
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ from atomic.errors import (
     SubgroupTooLarge,
     SystemMismatch,
 )
-from atomic.rootdata import classical_root, root_system
+from atomic.rootdata import RootSystem, classical_root, parse_type, root_system
 from atomic.weyl import (
     ReflectionSubgroup,
     a_decomposition,
@@ -57,6 +59,23 @@ def test_system_mismatch():
     a2, a3 = root_system("A2"), root_system("A3")
     with pytest.raises(SystemMismatch):
         simple_reflection(a2, 1) * simple_reflection(a3, 1)
+
+
+def test_reflections_live_and_die_with_their_system():
+    # reflections are kept on the system that built them: a fresh system of
+    # a type seen before gets its own, and drops them when it is dropped
+    simple_reflection(root_system("D5"), 1)
+    fresh = RootSystem(parse_type("D5"))
+    assert simple_reflection(fresh, 1).system is fresh
+    assert root_reflection(fresh, fresh.highest_root).system is fresh
+    e6 = RootSystem(parse_type("E6"))
+    for i in range(1, 7):
+        simple_reflection(e6, i)
+    assert len(enumerate_group(e6, [root_reflection(e6, e6.highest_root)])) == 2
+    alive = weakref.ref(e6)
+    del e6
+    gc.collect()
+    assert alive() is None
 
 
 def test_inversion_sets_small():
