@@ -9,7 +9,8 @@ follows the coset-tree iterations, one dot product each (16,857 for E7
 rho, 265,776 for E8 rho), and the memo states they reach (2,264 and
 26,526), not the orbit size (2.9M and 697M).  Its coset trees read no
 weight and are built once per root system (`_coset_plan`); only its memo
-is per call.
+is per call, and the summed bit lengths of its entries, which track the
+memory it holds, are bounded by MEMO_CAP.
 The tests compare it with the walk over the orbit, `weyl.orbit_depths`,
 which visits every weight once.
 """
@@ -32,7 +33,7 @@ from .weyl import (
     inversion_set_from_word,
 )
 
-ORBIT_CAP = 2**27
+MEMO_CAP = 2**31  # bits held by the memo of one `_parabolic_histogram` call
 
 
 def atomic_length(w: WeylElement):
@@ -218,8 +219,10 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
     lambda), alpha_i^vee> = <lambda, u_parent^-1(alpha_i)^vee> is at least
     0, as u = s_i u_parent is the longer and lambda is dominant; a negative
     step raises InvariantViolation, as does a lowest value other than 0.
-    The orbit histogram is G_I(rho^vee) divided by |W_lambda|.
+    The orbit histogram is G_I(rho^vee) divided by |W_lambda|.  Past
+    MEMO_CAP bits in the memo, read at each call, OrbitTooLarge is raised.
     """
+    cap, held = MEMO_CAP, 0
     width = group_order(system).bit_length()
     levels = []  # per node tuple J of the chain: (coset columns, top, mask)
     nodes = tuple(range(system.rank))
@@ -248,6 +251,7 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
     memos = [{} for _ in levels[1:]] + [{0: base}]
 
     def generating(k, c):
+        nonlocal held
         cosets, top, mask = levels[k]
         memo = memos[k]
         acc = 0
@@ -258,6 +262,9 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
             if sub is None:
                 heights = tuple(key >> s & (1 << field) - 1 for s in range(0, top, field))
                 sub = memo[key] = generating(k + 1, heights)
+                held += sub.bit_length()
+                if held > cap:
+                    raise OrbitTooLarge(f"memo holds {held} bits, above cap {cap}")
             acc += sub << (v >> top) * width
         return acc
 
@@ -273,16 +280,15 @@ def _parabolic_histogram(system: RootSystem, lam: Weight):
     }
 
 
-def image_set(system: RootSystem, lam: Weight, cap=ORBIT_CAP, histogram=False) -> ImageReport:
+def image_set(system: RootSystem, lam: Weight, histogram=False) -> ImageReport:
     """All values of the lambda-atomic length on W, via the parabolic
-    recursion; `cap` bounds the orbit size |W.lambda|."""
+    recursion, bounded by its memo (MEMO_CAP), not by the orbit W.lambda;
+    the histogram must count |W|/|W_lambda| weights."""
     system.require_finite("the image is taken over a finite type")
     lam.require_dominant_in(system)
-    predicted = dominant_orbit_size(system, lam.fund)
-    if predicted > cap:
-        raise OrbitTooLarge(f"orbit has {predicted} weights, above cap {cap}")
     hist = _parabolic_histogram(system, lam)
     orbit_size = sum(hist.values())
+    predicted = dominant_orbit_size(system, lam.fund)
     if orbit_size != predicted:
         raise InvariantViolation(
             f"histogram counts {orbit_size} weights, |W|/|W_I| = {predicted}"

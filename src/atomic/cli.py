@@ -62,7 +62,7 @@ def _emit(args, payload: dict, text_lines):
 def cmd_image(args):
     system = root_system(args.type)
     lam = system.weight(*args.weight) if args.weight else system.rho
-    report = atomiclen.image_set(system, lam, cap=args.cap)
+    report = atomiclen.image_set(system, lam)
     payload = {
         "type": str(system.label),
         "weight": [str(c) for c in lam.fund],
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--weight", type=_parse_weight, default=None,
                    help="fundamental coordinates m_1,..,m_n (default: all ones)")
-    p.add_argument("--cap", type=int, default=atomiclen.ORBIT_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_image)
 

@@ -38,7 +38,8 @@ class NotDominant(AtomicError):
 
 
 class OrbitTooLarge(AtomicError):
-    """Weight orbit exceeded the configured cap."""
+    """An orbit computation passed its cap: the weights an orbit walk
+    visits (weyl.ORBIT_WALK_CAP) or the image memo's bits (atomiclen.MEMO_CAP)."""
 
 
 class RadiusTooLarge(AtomicError):

@@ -288,6 +288,13 @@ class RootSystem:
     def rho(self) -> "Weight":
         return Weight(self, (1,) * self.rank)
 
+    def __eq__(self, other):
+        """Two systems built apart for one type are the same system."""
+        return isinstance(other, RootSystem) and self.label == other.label
+
+    def __hash__(self):
+        return hash(self.label)
+
     def __repr__(self):
         return f"RootSystem({self.label})"
 
@@ -301,9 +308,8 @@ def integral_coords(coords, what: str) -> tuple[int, ...]:
 
 
 def same_system(a: RootSystem, b: RootSystem):
-    """Refuse two root systems of different types with SystemMismatch; two
-    systems built apart for one type are the same system."""
-    if a is not b and a.label != b.label:
+    """Refuse two root systems of different types with SystemMismatch."""
+    if a != b:
         raise SystemMismatch(f"{a.label} vs {b.label}")
 
 
@@ -348,16 +354,6 @@ class Weight:
 
     def __rmul__(self, k) -> "Weight":
         return Weight(self.system, tuple(k * c for c in self.fund))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Weight)
-            and self.system.label == other.system.label
-            and self.fund == other.fund
-        )
-
-    def __hash__(self):
-        return hash((self.system.label, self.fund))
 
 
 @lru_cache(maxsize=None)

@@ -139,10 +139,7 @@ def surjectivity_susanfe_induction(system: RootSystem) -> ImageReport:
     fam, n = system.label.family, system.rank
     if fam not in _BASE_RANK:
         raise UnsupportedType(f"induction only runs in classical types, not {system.label}")
-    base = _BASE_RANK[fam]
-    lo = 1 if fam == "A" else (2 if fam in "BC" else 4)
-    start = min(base, n)
-    start = max(start, lo)
+    start = min(_BASE_RANK[fam], n)
 
     base_system = root_system(f"{fam}{start}")
     direct = image_set(base_system, base_system.rho)

@@ -13,6 +13,7 @@ from atomic.fixtures import (
     W0_CLOSED_FORMS,
     W0_EXCEPTIONAL,
 )
+from atomic import atomiclen
 from atomic.rootdata import classical_root, root_system
 from atomic.atomiclen import (
     atomic_length,
@@ -175,10 +176,14 @@ def test_image_c3_missing_values():
     assert report.max_value == 30
 
 
-def test_image_orbit_cap():
+def test_image_memo_cap(monkeypatch):
+    # B3 rho's memo holds 210 bits, summed over its entries
     b3 = root_system("B3")
-    with pytest.raises(OrbitTooLarge):
-        image_set(b3, b3.rho, cap=10)
+    monkeypatch.setattr(atomiclen, "MEMO_CAP", 210)
+    assert image_set(b3, b3.rho).missing == ()
+    monkeypatch.setattr(atomiclen, "MEMO_CAP", 209)
+    with pytest.raises(OrbitTooLarge, match="memo holds 210 bits, above cap 209"):
+        image_set(b3, b3.rho)
 
 
 def test_image_refuses_affine_label():

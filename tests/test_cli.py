@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from atomic import affine, cli, fixtures, weyl
+from atomic import affine, atomiclen, cli, fixtures, weyl
 from atomic.cli import main
 from test_acceptance import assert_fixture_group
 
@@ -95,10 +95,8 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 2
 
 
-def test_image_e8_under_raised_cap(capsys):
-    code, out, _ = run_cli(
-        capsys, "image", "--type", "E8", "--cap", "696729600", "--json"
-    )
+def test_image_e8_answers(capsys):
+    code, out, _ = run_cli(capsys, "image", "--type", "E8", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["max"] == fixtures.W0_EXCEPTIONAL["E8"]
@@ -112,8 +110,15 @@ def test_stress_option_is_gone(capsys):
     assert err.value.code == 2
 
 
-def test_cap_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, "image", "--type", "B4", "--cap", "10")
+def test_cap_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["image", "--type", "E8", "--cap", "1"])
+    assert err.value.code == 2
+
+
+def test_cap_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(atomiclen, "MEMO_CAP", 10)
+    code, out, err = run_cli(capsys, "image", "--type", "B4")
     assert code == 3
     assert "cap" in err
 
@@ -255,7 +260,7 @@ def readme_commands():
 def test_readme_commands_are_found():
     commands = readme_commands()
     for expected in (
-        "atomic image --type E8 --cap 696729600",
+        "atomic image --type E8",
         "atomic affine --type E6~ --weight 1,0,0,0,0,0,0 --radius 12",
         "atomic cores --n 6 --max 120 --count-only",
         "atomic verify",

@@ -91,7 +91,7 @@ def has_removable_rim_hook(p, m: int) -> bool:
     return False
 
 
-def partitions_of(n, cap=None):
+def partitions_of(n):
     def rec(remaining, largest):
         if remaining == 0:
             yield ()
@@ -100,7 +100,7 @@ def partitions_of(n, cap=None):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    yield from rec(n, cap or n)
+    yield from rec(n, n)
 
 
 def test_hook_lengths_small():

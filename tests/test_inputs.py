@@ -23,7 +23,7 @@ from atomic.atomiclen import (
     lambda_inversion_set,
 )
 from atomic.errors import DimensionMismatch, InvalidType, SystemMismatch
-from atomic.rootdata import Weight, root_system
+from atomic.rootdata import RootSystem, Weight, parse_type, root_system
 from atomic.weyl import evaluate
 
 A3, A4 = root_system("A3"), root_system("A4")
@@ -67,3 +67,13 @@ def test_affine_element_refuses_another_systems_finite_part():
     b2_element = evaluate(root_system("B2"), (1, 2))
     with pytest.raises(SystemMismatch, match="B2 vs A2~"):
         AffineElement(A2T, (0, 0), b2_element)
+
+
+def test_systems_built_apart_are_equal_and_hash_alike():
+    apart = RootSystem(parse_type("A2~"))
+    assert apart is not A2T and apart == A2T and hash(apart) == hash(A2T)
+    assert apart != root_system("A2")
+    weights = (AffineWeight(apart, (1, 0, 0)), basic_weight(A2T))
+    assert weights[0] == weights[1] and len(set(weights)) == 1
+    finite = (Weight(apart, (1, 1)), A2T.rho)
+    assert finite[0] == finite[1] and len(set(finite)) == 1

@@ -188,7 +188,7 @@ def test_q_weyl_oracle_counts_dimensions():
 
 def test_e8_rho_fills_its_interval():
     e8 = root_system("E8")
-    report = image_set(e8, e8.rho, cap=2**31, histogram=True)
+    report = image_set(e8, e8.rho, histogram=True)
     assert report.orbit_size == 696729600
     top = fixtures.W0_EXCEPTIONAL["E8"]
     assert report.max_value == top
@@ -320,7 +320,7 @@ def test_height_field_and_step_checks_survive_optimized_mode():
     script = textwrap.dedent(
         """
         from atomic import atomiclen
-        from atomic.errors import InvariantViolation
+        from atomic.errors import InvariantViolation, OrbitTooLarge
         from atomic.rootdata import RootSystem, parse_type
 
         assert False, "asserts are stripped under -O, so this line is inert"
@@ -342,6 +342,14 @@ def test_height_field_and_step_checks_survive_optimized_mode():
             print("A2 (1, -1) raised:", exc)
         else:
             print("A2 (1, -1) not raised")
+        atomiclen.MEMO_CAP = 209
+        b3 = RootSystem(parse_type("B3"))
+        try:
+            atomiclen._parabolic_histogram(b3, b3.rho)
+        except OrbitTooLarge as exc:
+            print("B3 raised:", exc)
+        else:
+            print("B3 not raised")
         """
     )
     src = str(Path(atomic.__file__).resolve().parent.parent)
@@ -354,4 +362,7 @@ def test_height_field_and_step_checks_survive_optimized_mode():
     assert result.stdout.splitlines() == [
         f"{spec} raised: root height 7 overflows a 2-bit field"
         for spec in ("A7", "B4", "C4", "D5")
-    ] + ["A2 (1, -1) raised: coset step <u(lambda), alpha_i^vee> = -1 < 0"], result.stdout
+    ] + [
+        "A2 (1, -1) raised: coset step <u(lambda), alpha_i^vee> = -1 < 0",
+        "B3 raised: memo holds 210 bits, above cap 209",
+    ], result.stdout
