@@ -170,13 +170,13 @@ class AffineElement:
     def __eq__(self, other):
         return (
             isinstance(other, AffineElement)
-            and self.system.label == other.system.label
+            and (self.system is other.system or self.system == other.system)
             and self.beta == other.beta
             and self.fbar == other.fbar
         )
 
     def __hash__(self):
-        return hash((self.system.label, self.beta, self.fbar))
+        return hash((self.system, self.beta, self.fbar))
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         # (A, a) o (B, b) : x -> A(B x + b) + a.  Both factors were checked

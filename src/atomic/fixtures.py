@@ -6,7 +6,7 @@ reflections, the A2~ level-one table, scaled inversion sets, the C3 ideal
 sets, the minuscule nodes and the 3-core sizes.  Three readers check them:
 `atomic verify` (through `run_all`), the acceptance criteria in
 `tests/test_acceptance.py` and the unit tests.  A correction to a table is
-made here once.
+made here once.  The CLI imports this module inside `verify`, when it runs.
 
 Each check returns a list of (label, ok, detail) triples; run_all() chains
 them.  Exhaustive loops stay in the tests, so `verify` stays cheap.

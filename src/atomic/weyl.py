@@ -41,7 +41,6 @@ from .errors import (
     NotReduced,
     OrbitTooLarge,
     SubgroupTooLarge,
-    SystemMismatch,
 )
 from .linalg import exact_div
 from .rootdata import RootSystem, Weight, per_system, same_system
@@ -159,8 +158,8 @@ class WeylElement:
     # -- group structure ------------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if other.system is not self.system and self.system.label != other.system.label:
-            raise SystemMismatch(f"{self.system.label} vs {other.system.label}")
+        if other.system is not self.system:
+            same_system(self.system, other.system)
         flat = _product(self._m, self._refl, other._m, other._refl, self.system.rank)
         return _element(self.system, flat)
 
@@ -274,7 +273,7 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and self._m == other._m
-            and (self.system is other.system or self.system.label == other.system.label)
+            and (self.system is other.system or self.system == other.system)
         )
 
     def __hash__(self):

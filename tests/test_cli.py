@@ -2,8 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
@@ -127,6 +130,28 @@ def test_invalid_type_exit_code(capsys):
     code, out, err = run_cli(capsys, "image", "--type", "H3")
     assert code == 2
     assert "error" in err
+
+
+def fresh_stdout(*argv):
+    """stdout of `atomic <argv>` run alone in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-m", "atomic.cli", *argv], capture_output=True, env=env,
+        timeout=120, check=True,
+    )
+    return result.stdout.decode()
+
+
+@pytest.mark.parametrize("first, second", [
+    ("image --type C3 --weight 1,2,1 --json", "image --type C3 --json"),
+    ("susanfe --type B4 --list", "susanfe --type B4"),
+])
+def test_parser_is_shared_and_keeps_no_state(capsys, first, second):
+    assert cli.build_parser() is cli.build_parser()
+    run_cli(capsys, *first.split())
+    code, out, _ = run_cli(capsys, *second.split())
+    assert code == 0 and out == fresh_stdout(*second.split())
 
 
 def test_verify_runs_clean(capsys):

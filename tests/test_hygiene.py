@@ -298,6 +298,23 @@ def test_fraction_scan_sees_every_scope():
     assert fraction_scopes(tree) == ["", "C.f", "C", "g", "g.h"]
 
 
+def test_cli_imports_the_tables_only_when_verify_runs():
+    script = (
+        "import sys, atomic.cli\n"
+        "loaded = 'atomic.fixtures' in sys.modules\n"
+        "code = atomic.cli.main(['verify'])\n"
+        "print(loaded, code, 'atomic.fixtures' in sys.modules)\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(PACKAGE.parent) + os.pathsep + os.environ.get("PYTHONPATH", ""),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+    )
+    assert result.stdout.decode().splitlines()[-1] == "False 0 True", result.stderr.decode()
+
+
 def test_verify_passes_under_optimized_mode():
     env = dict(
         os.environ,
