@@ -584,7 +584,7 @@ def level_one_histogram(system: RootSystem, max_value: int):
 
     There (beta|rho) = ht(beta) on the root lattice, so the value is
     (h^vee/2)|beta - c|^2 - (h^vee/2)|c|^2 with c = rho/h^vee = num/den,
-    num = S rho from `scaled_root_coords` and den = S h^vee: the values
+    num = S rho (`RootSystem.scaled_rho`) and den = S h^vee: the values
     <= max_value are exactly the ball h^vee Q(den x - num) <= 2 D max_value
     den^2 + h^vee Q(num) of `_runs`, which tries no point outside it.  Along
     a run, 2 D K den^2 value = h^vee (used + W_0 T_0^2 - K Q(num)), so each
@@ -602,7 +602,7 @@ def level_one_histogram(system: RootSystem, max_value: int):
         return {}, tuple(tried)
     _, dens, _, weights, k_scale = _lattice_ldl(system)
     hvee, two_d = _delta_pairing(system), 2 * system.gram_scale
-    num = system.scaled_root_coords((1,) * n)
+    num = system.scaled_rho
     den = system.weight_scale * hvee
     base = hvee * system.scaled_inner_product(num, num)
     full = k_scale * ((two_d * max_value * den * den + base) // hvee)

@@ -27,7 +27,6 @@ from .weyl import (
     WeylElement,
     _descent_tree,
     _parabolic_order,
-    _scaled_rho,
     dominant_orbit_size,
     group_order,
     inversion_set_from_word,
@@ -39,7 +38,7 @@ MEMO_CAP = 2**31  # bits held by the memo of one `_parabolic_histogram` call
 def atomic_length(w: WeylElement):
     """Sum of the heights of the inversions of w, read as ht(rho - w rho):
     rho - w rho is the sum of N(w).  Runs on S rho (S = `weight_scale`)."""
-    system, scaled = w.system, _scaled_rho(w.system)
+    system, scaled = w.system, w.system.scaled_rho
     drop = sum(scaled) - sum(w.act_root(scaled))
     return exact_div(drop, system.weight_scale, "ht(rho - w rho)")
 
@@ -319,18 +318,12 @@ def atomic_length_w0(system: RootSystem, lam: Weight) -> int:
 class IdealReport:
     ideal: bool
     reason: str
-    image: ImageReport | None
+    image: ImageReport
 
 
 def is_ideal(system: RootSystem, lam: Weight) -> IdealReport:
-    """Whether the lambda-atomic length attains every value in [0, max].
-
-    A dominant weight whose coordinates are all at least 2 can never attain
-    the value 1, so such weights are rejected without walking the orbit.
-    """
+    """Whether the lambda-atomic length attains every value in [0, max]."""
     lam.require_dominant_in(system)
-    if all(c >= 2 for c in lam.fund) and any(c > 0 for c in lam.fund):
-        return IdealReport(False, "no coordinate equals 1", None)
     report = image_set(system, lam)
     if report.surjective:
         return IdealReport(True, "full interval", report)

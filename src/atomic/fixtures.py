@@ -519,11 +519,8 @@ def check_ideal_weights():
     for coords, values in C3_IDEAL_VALUES.items():
         rep = atomiclen.is_ideal(c3, c3.weight(*coords))
         interval = values == tuple(range(len(values)))
-        ok = rep.ideal == interval and rep.image is not None and rep.image.values == values
-        if interval:
-            detail = f"max {rep.image.max_value if rep.image else None}"
-        else:
-            detail = f"{rep.image.values if rep.image else None}"
+        ok = rep.ideal == interval and rep.image.values == values
+        detail = f"max {rep.image.max_value}" if interval else f"{rep.image.values}"
         out.append(_result(f"ideal/c3-{''.join(map(str, coords))}", ok, detail))
     return out
 
@@ -595,7 +592,7 @@ def check_simply_laced_symmetry():
         system = root_system(label)
         # w^{-1} w fixes the regular S rho only if it is e, so a wrong
         # inverse fails here instead of passing the comparison vacuously
-        rho = system.scaled_root_coords((1,) * system.rank)
+        rho = system.scaled_rho
         ok = all(
             w.inverse().act_root(w.act_root(rho)) == rho
             and atomiclen.atomic_length(w) == atomiclen.atomic_length(w.inverse())

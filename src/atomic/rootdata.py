@@ -5,7 +5,10 @@ B_n/C_n have their short/long root at node n, D_n forks at nodes n-1 and n,
 and E_n attaches node 2 to node 4 of the chain 1-3-4-5-...  Roots and
 group elements live in simple-root coordinates; weights are stored by their
 integer fundamental coordinates.  The bilinear form is normalised so that
-the highest root theta has (theta|theta) equal to 2.
+the highest root theta has (theta|theta) equal to 2.  The positive roots
+are the closure of the simple roots under the simple reflections
+(`_root_closure`, which reflection subgroups run on their generators),
+sorted by height and then by coordinates.
 
 The form is kept as one integer Gram matrix G = diag(e) A, where e is the
 least integer symmetrizer (e_i a_ij = e_j a_ji; e_i is 1 on the short
@@ -17,11 +20,11 @@ coordinates are rational, are scaled likewise by S, the least common
 denominator of the inverse Cartan matrix: S A^{-1} is built once, in
 integers, from the determinant and adjugate of A (`linalg.eliminate`), and
 `scaled_root_coords` is one product with it; classical labels such as
-e_i - e_j are read through it too.  Exact divisions go through
-`linalg.exact_div`, which checks them.  Set-up runs on integers alone;
-Fractions appear only in the views `root_coords`, `inner_product`,
-`coroot_pairing` and `Weight.root`, and in the input check
-`integral_coords`.
+e_i - e_j are read through it too, and S rho, its row sums, is kept as
+`scaled_rho`.  Exact divisions go through `linalg.exact_div`, which checks
+them.  Set-up runs on integers alone; Fractions appear only in the views
+`root_coords`, `inner_product`, `coroot_pairing` and `Weight.root`, and in
+the input check `integral_coords`.
 
 A weight checks its coordinates once, when built; each entry point that
 takes one with a system or an element makes one call, `require_dominant_in`.
@@ -131,6 +134,32 @@ def per_system(build):
     return cached
 
 
+def _reflect(refl, x):
+    """s_beta(x) = x - <x, beta^vee> beta for refl = (beta, coroot row)."""
+    root, coroot = refl
+    k = sum(map(mul, coroot, x))
+    return tuple([c - k * r for c, r in zip(x, root)]) if k else tuple(x)
+
+
+def _root_closure(refls):
+    """The positive roots of the group generated by the reflections `refls`,
+    given as (root, coroot row) pairs: the orbit of their roots under them,
+    each made positive.  Each root found is reflected once by each
+    generator, |Phi_A^+| * |refls| reflections in all."""
+    closure = {root for root, _ in refls}
+    pending = list(closure)
+    while pending:
+        x = pending.pop()
+        for refl in refls:
+            img = _reflect(refl, x)
+            if sum(img) < 0:  # a root has the sign of its height
+                img = tuple(-c for c in img)
+            if img not in closure:
+                closure.add(img)
+                pending.append(img)
+    return closure
+
+
 class RootSystem:
     """Immutable Cartan data for one finite type (possibly affine-labelled).
 
@@ -145,7 +174,11 @@ class RootSystem:
         self.rank = n
         self.cartan = cartan_matrix(label.family, n)
 
-        self.positive_roots = self._generate_positive_roots()
+        # Phi+ is the closure of the simple roots under the simple
+        # reflections; row i of the Cartan matrix is the coroot row of alpha_i
+        simple = [self.simple_root(i) for i in range(1, n + 1)]
+        closure = _root_closure(tuple(zip(simple, self.cartan)))
+        self.positive_roots = tuple(sorted(closure, key=lambda r: (sum(r), r)))
         self.root_index = {r: i for i, r in enumerate(self.positive_roots)}
         # (support bitmask, height) per positive root, read by weyl.parabolic_order
         self.root_supports = tuple(
@@ -177,6 +210,9 @@ class RootSystem:
         g = math.gcd(det, *(c for row in adj for c in row))
         self.weight_scale = det // g
         self._scaled_cartan_inv = tuple(tuple(c // g for c in row) for row in adj)
+        # S rho in simple-root coordinates: rho has fundamental coordinates
+        # all 1, so its coordinates are the row sums of S A^{-1}
+        self.scaled_rho = tuple(map(sum, self._scaled_cartan_inv))
         self.marks = (1,) + self.highest_root
         # a_i^vee = theta_i (alpha_i|alpha_i) / 2 = theta_i G_ii / 2D
         self.comarks = (1,) + tuple(
@@ -185,29 +221,6 @@ class RootSystem:
         )
         self.coxeter_number = sum(self.marks)
         self.dual_coxeter_number = sum(self.comarks)
-
-    # -- construction -------------------------------------------------
-
-    def _generate_positive_roots(self):
-        n = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        seen = set(simple)
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for root in frontier:
-                pair = mat_vec(self.cartan, root)
-                for i in range(n):
-                    if pair[i] == 0:
-                        continue
-                    img = list(root)
-                    img[i] -= pair[i]
-                    img = tuple(img)
-                    if all(c >= 0 for c in img) and img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return tuple(sorted(seen, key=lambda r: (sum(r), r)))
 
     # -- basic linear data ---------------------------------------------
 
@@ -275,9 +288,7 @@ class RootSystem:
         return Weight(self, fund)
 
     def fundamental_weight(self, i: int) -> "Weight":
-        if not 1 <= i <= self.rank:
-            raise IndexOutOfRange(f"simple index {i} outside 1..{self.rank}")
-        return Weight(self, tuple(int(j == i - 1) for j in range(self.rank)))
+        return Weight(self, self.simple_root(i))
 
     @property
     def rho_coords(self):

@@ -165,14 +165,10 @@ def list_susanfe_reflections(system: RootSystem):
     set-up; returns (root, element, L(t), L(t, I)) tuples in root order.
     """
     system.require_finite("Susanfe reflections are listed in a finite type")
-    sub = standard_parabolic(system, range(2, system.rank + 1)) if system.rank > 1 else None
+    sub = standard_parabolic(system, range(2, system.rank + 1))
     out = []
     for alpha in system.positive_roots:
         t = root_reflection(system, alpha)
         if susanfe_check(t).is_susanfe:
-            l_total = atomic_length(t)
-            l_restricted = (
-                restricted_atomic_length(t, sub) if sub is not None else l_total
-            )
-            out.append((alpha, t, l_total, l_restricted))
+            out.append((alpha, t, atomic_length(t), restricted_atomic_length(t, sub)))
     return out

@@ -20,10 +20,11 @@ for and kept.
 
 Each element and each root image is built by one rank-one step.  A
 reflection s_beta acts through its coroot row, x -> x - <x, beta^vee> beta,
-one dot product.  One tree, `_descent_tree`, walks the group, a reflection
-subgroup from its canonical simple system (Dyer, J. Algebra 135, 1990) and
-the orbit of a dominant weight, finite or untwisted affine; each element is
-built once, from its parent, by one product on the right by a reflection.
+one dot product (`rootdata._reflect`).  One tree, `_descent_tree`, walks
+the group, a reflection subgroup from its canonical simple system (Dyer,
+J. Algebra 135, 1990) and the orbit of a dominant weight, finite or
+untwisted affine; each element is built once, from its parent, by one
+product on the right by a reflection.
 Inversion sets are read through the root poset: every positive root is a
 simple root or an earlier positive root plus one, so each image w(beta) is
 one column of w added to an image computed before it.
@@ -43,7 +44,7 @@ from .errors import (
     SubgroupTooLarge,
 )
 from .linalg import exact_div
-from .rootdata import RootSystem, Weight, per_system, same_system
+from .rootdata import RootSystem, Weight, _reflect, _root_closure, per_system, same_system
 
 GROUP_ENUMERATION_CAP = 10**7
 ORBIT_WALK_CAP = 2**23
@@ -73,13 +74,6 @@ def _apply(flat, x, n):
             else:
                 acc = [u + c * y for u, y in zip(acc, col)]
     return (0,) * n if acc is None else tuple(acc)
-
-
-def _reflect(refl, x):
-    """s_beta(x) = x - <x, beta^vee> beta for refl = (beta, coroot row)."""
-    root, coroot = refl
-    k = sum(map(mul, coroot, x))
-    return tuple([c - k * r for c, r in zip(x, root)]) if k else tuple(x)
 
 
 def _times_reflection(a, refl, n):
@@ -251,7 +245,7 @@ class WeylElement:
         """Indices i with ell(s_i w) < ell(w): w^{-1} alpha_i < 0, i.e. (alpha_i |
         w rho) < 0, since a root has the sign of its form with rho."""
         system = self.system
-        image = self.act_root(_scaled_rho(system))
+        image = self.act_root(system.scaled_rho)
         return tuple(
             i + 1 for i, row in enumerate(system.gram) if sum(map(mul, row, image)) < 0
         )
@@ -300,20 +294,12 @@ def _root_poset(system: RootSystem):
     return tuple(steps)
 
 
-@per_system
-def _scaled_rho(system: RootSystem):
-    """S rho in simple-root coordinates (S = `weight_scale`)."""
-    return system.scaled_root_coords((1,) * system.rank)
-
-
 def identity_element(system: RootSystem) -> WeylElement:
     return _element(system, _identity_flat(system.rank))
 
 
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
-    """s_i(alpha_j) = alpha_j - a_ij alpha_i."""
-    if not 1 <= i <= system.rank:
-        raise IndexOutOfRange(f"simple index {i} outside 1..{system.rank}")
+    """s_i(alpha_j) = alpha_j - a_ij alpha_i; `simple_root` checks i."""
     return root_reflection(system, system.simple_root(i))
 
 
@@ -365,7 +351,7 @@ def inversion_set_from_word(system: RootSystem, word):
 @per_system
 def longest_element(system: RootSystem) -> WeylElement:
     """Greedy ascent: multiply by s_i while w(alpha_i), column i of w, stays
-    positive.  Built on first use and kept per system, as `_scaled_rho` is."""
+    positive.  Built on first use and kept per system."""
     w = identity_element(system)
     n = system.rank
     while True:
@@ -586,10 +572,10 @@ class ReflectionSubgroup:
                 delta.append(a)
         self.delta = tuple(delta)
         self.simple_reflections = tuple(root_reflection(system, a) for a in delta)
-        g = system.scaled_inner_product
+        # <b, a^vee> is one dot product with the coroot row of a
         self.cartan = tuple(
-            tuple(exact_div(2 * g(b, a), g(a, a), "<b, a^vee>") for b in delta)
-            for a in delta
+            tuple(sum(map(mul, s._refl[1], b)) for b in delta)
+            for s in self.simple_reflections
         )
         self._elements = None
 
@@ -619,25 +605,6 @@ class ReflectionSubgroup:
 
     def __repr__(self):
         return f"ReflectionSubgroup({self.system.label}, |Delta_A|={len(self.delta)})"
-
-
-def _root_closure(refls):
-    """The positive roots of the group generated by the reflections `refls`,
-    given as (root, coroot row) pairs: the orbit of their roots under them,
-    each made positive.  Each root found is reflected once by each
-    generator, |Phi_A^+| * |refls| reflections in all."""
-    closure = {root for root, _ in refls}
-    pending = list(closure)
-    while pending:
-        x = pending.pop()
-        for refl in refls:
-            img = _reflect(refl, x)
-            if sum(img) < 0:  # a root has the sign of its height
-                img = tuple(-c for c in img)
-            if img not in closure:
-                closure.add(img)
-                pending.append(img)
-    return closure
 
 
 def reflection_root(system: RootSystem, t: WeylElement):
@@ -679,7 +646,7 @@ def a_decomposition(w: WeylElement, sub: ReflectionSubgroup):
     coroot row against v = rest(S rho), which is reflected along with rest.
     """
     rest, w_a = w, identity_element(w.system)
-    v = w.act_root(_scaled_rho(w.system))
+    v = w.act_root(w.system.scaled_rho)
     while True:
         s = next((s for s in sub.simple_reflections if sum(map(mul, s._refl[1], v)) < 0), None)
         if s is None:

@@ -280,4 +280,6 @@ def test_scaled_cartan_inverse_against_sympy(spec):
     assert sympy.Matrix(scaled) == scale * inverse
     # S is the least common denominator of A^{-1}
     assert scale == math.lcm(*(int(sympy.fraction(c)[1]) for c in inverse))
-    assert system.rho_coords == tuple(sum(row, Fraction(0)) for row in inverse.tolist())
+    row_sums = tuple(sum(row, Fraction(0)) for row in inverse.tolist())
+    assert system.rho_coords == row_sums
+    assert system.scaled_rho == tuple(scale * c for c in row_sums)

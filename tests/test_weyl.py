@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomic import weyl
+from atomic import rootdata, weyl
 from atomic.errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -296,23 +296,56 @@ def test_root_closure_reflects_each_root_once_per_generator(monkeypatch):
     a10 = root_system("A10")
     gens = [simple_reflection(a10, i) for i in range(2, 11)]
     calls = []
-    real_reflect, real_closure = weyl._reflect, weyl._root_closure
+    # the closure lives in rootdata and reads its `_reflect` there
+    real_reflect, real_closure = rootdata._reflect, weyl._root_closure
 
     def counting_reflect(refl, x):
         calls.append(1)
         return real_reflect(refl, x)
 
     def counted_closure(refls):
-        monkeypatch.setattr(weyl, "_reflect", counting_reflect)
+        monkeypatch.setattr(rootdata, "_reflect", counting_reflect)
         try:
             return real_closure(refls)
         finally:
-            monkeypatch.setattr(weyl, "_reflect", real_reflect)
+            monkeypatch.setattr(rootdata, "_reflect", real_reflect)
 
     monkeypatch.setattr(weyl, "_root_closure", counted_closure)
     sub = ReflectionSubgroup(a10, gens)
     assert len(sub.phi_plus) == 45 and len(sub.delta) == 9
     assert 0 < len(calls) <= 45 * 9
+
+
+def roots_of_norm(system, pick):
+    """The reflections of the positive roots whose squared norm is the
+    longest (pick=max) or the shortest (pick=min) of the system."""
+    norm = {a: system.inner_product(a, a) for a in system.positive_roots}
+    want = pick(norm.values())
+    return [root_reflection(system, a) for a, x in norm.items() if x == want]
+
+
+@pytest.mark.parametrize(
+    "label, gens",
+    [
+        ("B4", lambda s: roots_of_norm(s, max)),
+        ("C4", lambda s: roots_of_norm(s, max)),
+        ("F4", lambda s: roots_of_norm(s, max)),
+        ("G2", lambda s: roots_of_norm(s, max)),
+        ("B3", lambda s: roots_of_norm(s, min)),
+        ("A3", lambda s: [evaluate(s, (1, 2, 1)), evaluate(s, (3,))]),
+    ],
+)
+def test_subgroup_cartan_against_the_form(label, gens):
+    # Delta_A holds a non-simple root, so the Cartan matrix of W_A is not a
+    # block of the ambient one; each entry is 2(b|a)/(a|a) from the form
+    system = root_system(label)
+    sub = ReflectionSubgroup(system, gens(system))
+    assert any(sum(a) > 1 for a in sub.delta)
+    ip = system.inner_product
+    assert sub.cartan == tuple(
+        tuple(2 * ip(b, a) / ip(a, a) for b in sub.delta) for a in sub.delta
+    )
+    assert all(type(c) is int for row in sub.cartan for c in row)
 
 
 def test_subgroup_root_coordinates_nonnegative():
